@@ -77,7 +77,3 @@ int ppp::bench::runEdgeInstrumentation() {
          "edge profile.\n");
   return 0;
 }
-
-#ifndef PPP_SUITE_ALL
-int main() { return ppp::bench::runEdgeInstrumentation(); }
-#endif

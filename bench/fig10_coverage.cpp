@@ -71,7 +71,3 @@ int ppp::bench::runFig10Coverage() {
          "profiling.\n");
   return 0;
 }
-
-#ifndef PPP_SUITE_ALL
-int main() { return ppp::bench::runFig10Coverage(); }
-#endif

@@ -72,7 +72,3 @@ int ppp::bench::runFig11Instrumented() {
          "instrument about half, and PPP eliminates hashing.\n");
   return 0;
 }
-
-#ifndef PPP_SUITE_ALL
-int main() { return ppp::bench::runFig11Instrumented(); }
-#endif

@@ -110,7 +110,3 @@ int ppp::bench::runFig12Overhead() {
          "even PPP's counters while reconstructing identical profiles.\n");
   return 0;
 }
-
-#ifndef PPP_SUITE_ALL
-int main() { return ppp::bench::runFig12Overhead(); }
-#endif

@@ -85,7 +85,3 @@ int ppp::bench::runFig13Ablation() {
          "LC help little under leave-one-out.\n");
   return 0;
 }
-
-#ifndef PPP_SUITE_ALL
-int main() { return ppp::bench::runFig13Ablation(); }
-#endif

@@ -63,7 +63,3 @@ int ppp::bench::runFig13bPoisoning() {
          "gap is small; PPP poisons everywhere, so its gap is larger.\n");
   return 0;
 }
-
-#ifndef PPP_SUITE_ALL
-int main() { return ppp::bench::runFig13bPoisoning(); }
-#endif

@@ -71,7 +71,3 @@ int ppp::bench::runFig13cOneAtATime() {
          "nothing does on top of bare TPP.\n");
   return 0;
 }
-
-#ifndef PPP_SUITE_ALL
-int main() { return ppp::bench::runFig13cOneAtATime(); }
-#endif

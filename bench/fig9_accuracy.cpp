@@ -69,7 +69,3 @@ int ppp::bench::runFig9Accuracy() {
          "everywhere with PPP within ~1%% of TPP (avg ~96%%).\n");
   return 0;
 }
-
-#ifndef PPP_SUITE_ALL
-int main() { return ppp::bench::runFig9Accuracy(); }
-#endif

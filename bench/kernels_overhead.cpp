@@ -90,7 +90,3 @@ int ppp::bench::runKernelsOverhead() {
          "nearly free for everyone.\n");
   return 0;
 }
-
-#ifndef PPP_SUITE_ALL
-int main() { return ppp::bench::runKernelsOverhead(); }
-#endif

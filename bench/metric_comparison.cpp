@@ -79,7 +79,3 @@ int ppp::bench::runMetricComparison() {
          "edge columns is the bias the branch-flow metric removes.\n");
   return 0;
 }
-
-#ifndef PPP_SUITE_ALL
-int main() { return ppp::bench::runMetricComparison(); }
-#endif

@@ -126,7 +126,3 @@ int ppp::bench::runNetVsPpp() {
          "coverage.\n");
   return 0;
 }
-
-#ifndef PPP_SUITE_ALL
-int main() { return ppp::bench::runNetVsPpp(); }
-#endif

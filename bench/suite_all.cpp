@@ -36,31 +36,6 @@ using namespace ppp::bench;
 
 namespace {
 
-struct ExperimentInfo {
-  const char *Name;      ///< Matches the standalone binary's name.
-  int (*Run)();
-  bool UsesPrepare;      ///< Runs the steps 1-4 pipeline on the suite.
-  bool UsesAlphaCosts;   ///< Also prepares under CostModel::alpha21164().
-};
-
-/// The paper's order: tables, figures, then the auxiliary studies.
-const ExperimentInfo Experiments[] = {
-    {"table1_inlining", runTable1Inlining, true, false},
-    {"table2_hotpaths", runTable2Hotpaths, true, false},
-    {"fig9_accuracy", runFig9Accuracy, true, false},
-    {"fig10_coverage", runFig10Coverage, true, false},
-    {"fig11_instrumented", runFig11Instrumented, true, false},
-    {"fig12_overhead", runFig12Overhead, true, true},
-    {"fig13_ablation", runFig13Ablation, true, false},
-    {"fig13b_poisoning", runFig13bPoisoning, true, false},
-    {"fig13c_oneatatime", runFig13cOneAtATime, true, false},
-    {"trace_payoff", runTracePayoff, true, false},
-    {"edge_instrumentation", runEdgeInstrumentation, true, false},
-    {"kernels_overhead", runKernelsOverhead, false, false},
-    {"net_vs_ppp", runNetVsPpp, true, false},
-    {"metric_comparison", runMetricComparison, true, false},
-};
-
 double secondsSince(std::chrono::steady_clock::time_point T0) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - T0)
       .count();
@@ -117,7 +92,7 @@ void warmPreparations(bool NeedStandard, bool NeedAlpha) {
 int usage(FILE *Out) {
   fprintf(Out, "usage: suite_all [--list] [experiment...]\n");
   fprintf(Out, "experiments (default: all, in this order):\n");
-  for (const ExperimentInfo &E : Experiments)
+  for (const ExperimentInfo &E : experiments())
     fprintf(Out, "  %s\n", E.Name);
   return Out == stderr ? 2 : 0;
 }
@@ -131,10 +106,7 @@ int main(int argc, char **argv) {
       return usage(stdout);
     if (std::strcmp(argv[I], "--help") == 0)
       return usage(stdout);
-    const ExperimentInfo *Found = nullptr;
-    for (const ExperimentInfo &E : Experiments)
-      if (E.Name == std::string(argv[I]))
-        Found = &E;
+    const ExperimentInfo *Found = findExperiment(argv[I]);
     if (!Found) {
       fprintf(stderr, "suite_all: unknown experiment '%s'\n", argv[I]);
       return usage(stderr);
@@ -142,7 +114,7 @@ int main(int argc, char **argv) {
     Selected.push_back(Found);
   }
   if (Selected.empty())
-    for (const ExperimentInfo &E : Experiments)
+    for (const ExperimentInfo &E : experiments())
       Selected.push_back(&E);
 
   bool NeedStandard = false, NeedAlpha = false;

@@ -103,7 +103,3 @@ int ppp::bench::runTable1Inlining() {
          "~45%% of calls; FP unroll factors >> INT.\n");
   return 0;
 }
-
-#ifndef PPP_SUITE_ALL
-int main() { return ppp::bench::runTable1Inlining(); }
-#endif

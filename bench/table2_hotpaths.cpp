@@ -76,7 +76,3 @@ int ppp::bench::runTable2Hotpaths() {
          "benchmarks concentrate flow in fewer paths.\n");
   return 0;
 }
-
-#ifndef PPP_SUITE_ALL
-int main() { return ppp::bench::runTable2Hotpaths(); }
-#endif

@@ -20,41 +20,42 @@ function(ppp_add_bench NAME)
     RUNTIME_OUTPUT_DIRECTORY ${CMAKE_BINARY_DIR}/bench)
 endfunction()
 
-ppp_add_bench(table1_inlining)
-ppp_add_bench(table2_hotpaths)
-ppp_add_bench(fig9_accuracy)
-ppp_add_bench(fig10_coverage)
-ppp_add_bench(fig11_instrumented)
-ppp_add_bench(fig12_overhead)
-ppp_add_bench(fig13_ablation)
-ppp_add_bench(fig13b_poisoning)
-ppp_add_bench(fig13c_oneatatime)
-ppp_add_bench(trace_payoff)
-ppp_add_bench(edge_instrumentation)
-ppp_add_bench(kernels_overhead)
-ppp_add_bench(net_vs_ppp)
-ppp_add_bench(metric_comparison)
 ppp_add_bench(interp_throughput)
 ppp_add_bench(trace_throughput)
 ppp_add_bench(adaptive_steadystate)
 ppp_add_bench(timing_attrib)
 ppp_add_bench(kiter_blowup)
 
-# The unified driver compiles every experiment translation unit a
-# second time with PPP_SUITE_ALL defined, which drops their main()s and
-# leaves only the run*() entry points (see bench/Experiments.h).
-set(PPP_SUITE_ALL_EXPERIMENTS
+# The deterministic experiments (bench/Experiments.h) compile once, into
+# one library; each standalone binary is a generated one-line main that
+# runs its registry row, and suite_all links the same library.
+set(PPP_EXPERIMENTS
   table1_inlining table2_hotpaths fig9_accuracy fig10_coverage
   fig11_instrumented fig12_overhead fig13_ablation fig13b_poisoning
   fig13c_oneatatime trace_payoff edge_instrumentation kernels_overhead
   net_vs_ppp metric_comparison)
-set(PPP_SUITE_ALL_SOURCES ${CMAKE_SOURCE_DIR}/bench/suite_all.cpp)
-foreach(exp ${PPP_SUITE_ALL_EXPERIMENTS})
-  list(APPEND PPP_SUITE_ALL_SOURCES ${CMAKE_SOURCE_DIR}/bench/${exp}.cpp)
+set(PPP_EXPERIMENT_SOURCES ${CMAKE_SOURCE_DIR}/bench/Experiments.cpp)
+foreach(exp ${PPP_EXPERIMENTS})
+  list(APPEND PPP_EXPERIMENT_SOURCES ${CMAKE_SOURCE_DIR}/bench/${exp}.cpp)
 endforeach()
-add_executable(suite_all ${PPP_SUITE_ALL_SOURCES})
-target_compile_definitions(suite_all PRIVATE PPP_SUITE_ALL)
-target_link_libraries(suite_all PRIVATE ppp_bench_harness)
+add_library(ppp_experiments STATIC ${PPP_EXPERIMENT_SOURCES})
+target_link_libraries(ppp_experiments PUBLIC ppp_bench_harness)
+set_target_properties(ppp_experiments PROPERTIES
+  ARCHIVE_OUTPUT_DIRECTORY ${CMAKE_BINARY_DIR}/lib)
+
+foreach(exp ${PPP_EXPERIMENTS})
+  set(main ${CMAKE_BINARY_DIR}/bench_mains/${exp}.cpp)
+  file(GENERATE OUTPUT ${main} CONTENT "#include \"Experiments.h\"
+int main() { return ppp::bench::findExperiment(\"${exp}\")->Run(); }
+")
+  add_executable(${exp} ${main})
+  target_link_libraries(${exp} PRIVATE ppp_experiments)
+  set_target_properties(${exp} PROPERTIES
+    RUNTIME_OUTPUT_DIRECTORY ${CMAKE_BINARY_DIR}/bench)
+endforeach()
+
+add_executable(suite_all ${CMAKE_SOURCE_DIR}/bench/suite_all.cpp)
+target_link_libraries(suite_all PRIVATE ppp_experiments)
 set_target_properties(suite_all PROPERTIES
   RUNTIME_OUTPUT_DIRECTORY ${CMAKE_BINARY_DIR}/bench)
 

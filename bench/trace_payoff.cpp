@@ -104,7 +104,3 @@ int ppp::bench::runTracePayoff() {
          "cheap path profiling worth having (paper Secs. 1-2).\n");
   return 0;
 }
-
-#ifndef PPP_SUITE_ALL
-int main() { return ppp::bench::runTracePayoff(); }
-#endif

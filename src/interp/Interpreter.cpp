@@ -1,21 +1,17 @@
 //===- interp/Interpreter.cpp - IR interpreter -----------------------------===//
 ///
-/// run() is a thin dispatcher over the specializations of runImpl<>,
-/// selected by whether observers, a profiling runtime, an epoch hook,
-/// and interpreter telemetry (obs::interpStatsEnabled()) are active.
-/// The specializations must stay semantically identical: the
-/// determinism tests in tests/fastpath_test.cpp and tests/obs_test.cpp
-/// assert bit-equal RunResults across all of them for the benchmark
-/// suite.
+/// run() picks one ExecMode row from what is attached and switches on
+/// it. The rows must stay semantically identical: the determinism
+/// tests in tests/fastpath_test.cpp and tests/obs_test.cpp assert
+/// bit-equal RunResults across all of them for the benchmark suite.
 ///
 /// This TU compiles the dispatch loop (interp/InterpreterLoop.inc) for
-/// the HasStats=false, HasTrace=false, HasAdapt=false configurations
-/// only; the telemetry-enabled specializations live in
-/// InterpreterStats.cpp, the trace-recording ones in
-/// InterpreterTrace.cpp, and the adaptive ones in InterpreterAdapt.cpp,
-/// so their presence cannot perturb the clean loop's code generation
-/// (see the .inc header for why that separation is measured, not
-/// cosmetic).
+/// the Clean, Observed and Profiled rows only; the telemetry twins
+/// live in InterpreterStats.cpp, the recording rows in
+/// InterpreterTrace.cpp and InterpreterTraceTimed.cpp, and the
+/// adaptive row in InterpreterAdapt.cpp, so their presence cannot
+/// perturb the clean loop's code generation (see the .inc header for
+/// why that separation is measured, not cosmetic).
 ///
 /// Dispatch is threaded (labels-as-values) under GCC/Clang: every
 /// opcode body ends in its own indirect jump, so the branch predictor
@@ -31,44 +27,38 @@
 #include "obs/Obs.h"
 #include "trace/TraceRecorder.h" // Header-only; run() reads the timed flag.
 
-#include <cassert>
+#include <cstdio>
+#include <cstdlib>
+#include <string>
 
 using namespace ppp;
 
 ExecObserver::~ExecObserver() = default;
 EpochHook::~EpochHook() = default;
 
-// Telemetry-enabled specializations, compiled in InterpreterStats.cpp.
-extern template RunResult
-Interpreter::runImpl<false, false, true, false, false>();
-extern template RunResult
-Interpreter::runImpl<false, true, true, false, false>();
-extern template RunResult
-Interpreter::runImpl<true, false, true, false, false>();
-extern template RunResult
-Interpreter::runImpl<true, true, true, false, false>();
+// The other six rows, each compiled in its own TU.
+extern template RunResult Interpreter::runImpl<ExecMode::CleanStats>();
+extern template RunResult Interpreter::runImpl<ExecMode::ObservedStats>();
+extern template RunResult Interpreter::runImpl<ExecMode::ProfiledStats>();
+extern template RunResult Interpreter::runImpl<ExecMode::Trace>();
+extern template RunResult Interpreter::runImpl<ExecMode::TimedTrace>();
+extern template RunResult Interpreter::runImpl<ExecMode::Adaptive>();
 
-// Trace-recording specializations, compiled in InterpreterTrace.cpp
-// (same separate-TU discipline as telemetry: the clean loop's codegen
-// must not see them).
-extern template RunResult
-Interpreter::runImpl<false, false, false, true, false>();
-extern template RunResult
-Interpreter::runImpl<true, false, false, true, false>();
+namespace {
 
-// Timed trace-recording specializations (cost stamps at every Ret),
-// compiled in InterpreterTraceTimed.cpp.
-extern template RunResult
-Interpreter::runImpl<false, false, false, true, false, true>();
-extern template RunResult
-Interpreter::runImpl<true, false, false, true, false, true>();
+[[noreturn]] void rejectMix(const char *What) {
+  fprintf(stderr, "error: Interpreter::run: %s\n", What);
+  abort();
+}
 
-// Adaptive (epoch-hook) specializations, compiled in
-// InterpreterAdapt.cpp.
-extern template RunResult
-Interpreter::runImpl<false, true, false, false, true>();
-extern template RunResult
-Interpreter::runImpl<true, true, false, false, true>();
+/// Trace, timed-trace and adaptive runs have no telemetry twin; when
+/// telemetry is on, say which row ran without it.
+void noteStatsSkipped(const char *Row) {
+  if (obs::interpStatsEnabled())
+    obs::counter(std::string("interp.stats_skipped.") + Row).inc();
+}
+
+} // namespace
 
 Interpreter::Interpreter(const Module &Mod, const InterpOptions &Options)
     : Opts(Options) {
@@ -85,55 +75,75 @@ void Interpreter::setProfileRuntime(ProfileRuntime *RT) {
   VT.setPricingRuntime(RT);
 }
 
-void Interpreter::setEpochHook(EpochHook *H, uint64_t PeriodCalls) {
-  assert((!H || PeriodCalls > 0) && "epoch period must be positive");
-  Epoch = H;
-  EpochPeriod = H ? PeriodCalls : 0;
+ExecMode Interpreter::selectMode() const {
+  const bool HasObs = !Observers.empty();
+  if (HasObs && (Runtime || TraceRec || Epoch))
+    rejectMix("observers watch clean modules only; they cannot run with "
+              "a profiling runtime, a trace recorder or an epoch hook");
+  if (TraceRec) {
+    if (Runtime)
+      rejectMix("a trace recorder records a clean module; it cannot run "
+                "with a profiling runtime");
+    if (Epoch)
+      rejectMix("a trace recorder cannot run with an epoch hook");
+    const bool Timed = TraceRec->timestampsEnabled();
+    noteStatsSkipped(Timed ? "timed_trace" : "trace");
+    return Timed ? ExecMode::TimedTrace : ExecMode::Trace;
+  }
+  if (Epoch) {
+    if (!Runtime)
+      rejectMix("an epoch hook samples a profiling runtime's counters; "
+                "attach a runtime first");
+    if (EpochPeriod == 0)
+      rejectMix("an epoch hook needs a positive period");
+    noteStatsSkipped("adaptive");
+    return ExecMode::Adaptive;
+  }
+  // Telemetry selects a separate row: when disabled (the default), the
+  // loop that runs is compiled without any counting code.
+  const bool Stats = obs::interpStatsEnabled();
+  if (Runtime)
+    return Stats ? ExecMode::ProfiledStats : ExecMode::Profiled;
+  if (HasObs)
+    return Stats ? ExecMode::ObservedStats : ExecMode::Observed;
+  return Stats ? ExecMode::CleanStats : ExecMode::Clean;
 }
 
 RunResult Interpreter::run() {
-  const bool HasObs = !Observers.empty();
-  // Trace recording wins over the other dimensions: it runs on clean
-  // modules (no runtime) and carries its own accounting (no stats).
-  if (TraceRec) {
-    assert(!Runtime &&
-           "trace recording and a profiling runtime are exclusive");
-    assert(!Epoch && "trace recording and an epoch hook are exclusive");
-    if (TraceRec->timestampsEnabled())
-      return HasObs ? runImpl<true, false, false, true, false, true>()
-                    : runImpl<false, false, false, true, false, true>();
-    return HasObs ? runImpl<true, false, false, true, false>()
-                  : runImpl<false, false, false, true, false>();
+  switch (selectMode()) {
+  case ExecMode::Clean:
+    return runImpl<ExecMode::Clean>();
+  case ExecMode::Observed:
+    return runImpl<ExecMode::Observed>();
+  case ExecMode::Profiled:
+    return runImpl<ExecMode::Profiled>();
+  case ExecMode::CleanStats:
+    return runImpl<ExecMode::CleanStats>();
+  case ExecMode::ObservedStats:
+    return runImpl<ExecMode::ObservedStats>();
+  case ExecMode::ProfiledStats:
+    return runImpl<ExecMode::ProfiledStats>();
+  case ExecMode::Trace:
+    return runImpl<ExecMode::Trace>();
+  case ExecMode::TimedTrace:
+    return runImpl<ExecMode::TimedTrace>();
+  case ExecMode::Adaptive:
+    return runImpl<ExecMode::Adaptive>();
   }
-  // The adaptive loop samples live counters, so it requires a runtime;
-  // it takes precedence over telemetry (an adaptive run's correctness
-  // depends on the epochs firing, telemetry is best-effort).
-  if (Epoch) {
-    assert(Runtime && "an epoch hook requires a profiling runtime");
-    return HasObs ? runImpl<true, true, false, false, true>()
-                  : runImpl<false, true, false, false, true>();
-  }
-  // Telemetry selects a separate specialization: when disabled (the
-  // default), the dispatch loop that runs is compiled without any
-  // counting code, so the clean fast path is bit-identical to the
-  // pre-telemetry engine and pays only this one cached boolean test.
-  if (obs::interpStatsEnabled()) {
-    if (Runtime)
-      return HasObs ? runImpl<true, true, true, false, false>()
-                    : runImpl<false, true, true, false, false>();
-    return HasObs ? runImpl<true, false, true, false, false>()
-                  : runImpl<false, false, true, false, false>();
-  }
-  if (Runtime)
-    return HasObs ? runImpl<true, true, false, false, false>()
-                  : runImpl<false, true, false, false, false>();
-  return HasObs ? runImpl<true, false, false, false, false>()
-                : runImpl<false, false, false, false, false>();
+  abort();
 }
 
 #include "interp/InterpreterLoop.inc"
 
-template RunResult Interpreter::runImpl<false, false, false, false, false>();
-template RunResult Interpreter::runImpl<false, true, false, false, false>();
-template RunResult Interpreter::runImpl<true, false, false, false, false>();
-template RunResult Interpreter::runImpl<true, true, false, false, false>();
+void interp_detail::profOpWithoutRuntime(Opcode Op, FuncId F) {
+  fprintf(stderr,
+          "error: Interpreter: %s in function %d ran with no "
+          "ProfileRuntime attached; an instrumented module needs "
+          "setProfileRuntime()\n",
+          opcodeName(Op), F);
+  abort();
+}
+
+template RunResult Interpreter::runImpl<ExecMode::Clean>();
+template RunResult Interpreter::runImpl<ExecMode::Observed>();
+template RunResult Interpreter::runImpl<ExecMode::Profiled>();

@@ -73,6 +73,24 @@ struct RunResult {
   bool FuelExhausted = false;
 };
 
+/// The dispatch loop's closed set of configurations, one row per
+/// combination of attached objects that something actually runs. run()
+/// picks the row once per call and rejects every other mix with a
+/// diagnostic; each row compiles to its own loop (InterpreterLoop.inc).
+/// The *Stats twins add interpreter telemetry
+/// (obs::interpStatsEnabled()); the last three rows have none.
+enum class ExecMode : uint8_t {
+  Clean,         ///< Nothing attached: the production fast path.
+  Observed,      ///< Observers on a clean module (edge profiler, oracle).
+  Profiled,      ///< An instrumented module counting into a runtime.
+  CleanStats,
+  ObservedStats,
+  ProfiledStats,
+  Trace,         ///< A trace recorder on a clean module.
+  TimedTrace,    ///< Trace, plus cost stamps at every Ret.
+  Adaptive,      ///< Profiled, plus the epoch hook at every Call.
+};
+
 /// Interpreter configuration.
 struct InterpOptions {
   uint64_t Fuel = 2'000'000'000; ///< Max instructions before aborting.
@@ -90,43 +108,43 @@ struct InterpOptions {
 /// VersionTable.h); function bodies decode into flat code (Decoded.h)
 /// on first call, and run() executes only the decoded form, resolving
 /// each callee's *current* version at the call boundary. The dispatch
-/// loop is specialized on whether observers, a profiling runtime, and
-/// an epoch hook are attached -- and, orthogonally, on whether
-/// interpreter telemetry (obs::interpStatsEnabled(): per-opcode
-/// dispatch counts, PathTable probe statistics) is collected -- so the
-/// common clean-run case pays no per-event virtual dispatch and no
-/// telemetry cost; all specializations produce bit-identical
-/// RunResults.
+/// loop is compiled once per ExecMode row, so the common clean-run
+/// case pays no per-event virtual dispatch and no telemetry cost; all
+/// rows produce bit-identical RunResults.
 class Interpreter {
 public:
   explicit Interpreter(const Module &M,
                        const InterpOptions &Opts = InterpOptions());
 
   /// Registers an observer (not owned). Observers are invoked in
-  /// registration order.
+  /// registration order. They watch clean modules only: run() rejects
+  /// them beside a runtime, a trace recorder or an epoch hook.
   void addObserver(ExecObserver *Obs) { Observers.push_back(Obs); }
 
   /// Attaches the profiling runtime an instrumented module counts into
-  /// (not owned). Must cover every function with ProfCount* ops.
+  /// (not owned). Must cover every function with ProfCount* ops; a
+  /// ProfCount*/ProfChain* op run without one aborts with a diagnostic.
   void setProfileRuntime(ProfileRuntime *RT);
 
-  /// Attaches a trace recorder (not owned): run() selects the
-  /// recording specialization, which appends a branch-target packet at
-  /// every CondBr/Switch (the trace collection backend's hot half; the
-  /// offline decoder in src/trace reconstructs the path profile).
-  /// Recording runs on a *clean* module -- mutually exclusive with a
-  /// profiling runtime. The recorder is one-shot: attach a fresh one
-  /// per run(). A recorder with timestampsEnabled() selects the timed
-  /// specialization, which additionally emits a cost-stamp varint at
-  /// every Ret.
+  /// Attaches a trace recorder (not owned): run() selects the Trace
+  /// row, which appends a branch-target packet at every CondBr/Switch
+  /// (the trace collection backend's hot half; the offline decoder in
+  /// src/trace reconstructs the path profile). Recording runs on a
+  /// *clean* module: run() rejects it beside a runtime or an epoch
+  /// hook. The recorder is one-shot: attach a fresh one per run(). A
+  /// recorder with timestampsEnabled() selects the TimedTrace row,
+  /// which additionally emits a cost-stamp varint at every Ret.
   void setTraceRecorder(trace::TraceRecorder *Rec) { TraceRec = Rec; }
 
   /// Attaches the adaptive epoch hook (not owned): run() selects the
-  /// adaptive specialization, which invokes \p H every \p PeriodCalls
-  /// Call instructions. Requires a profiling runtime (the hook samples
-  /// its counters); mutually exclusive with trace recording. Pass
-  /// nullptr to detach.
-  void setEpochHook(EpochHook *H, uint64_t PeriodCalls);
+  /// Adaptive row, which invokes \p H every \p PeriodCalls Call
+  /// instructions. run() rejects a hook with no profiling runtime (the
+  /// hook samples its counters) or a zero period. Pass nullptr to
+  /// detach.
+  void setEpochHook(EpochHook *H, uint64_t PeriodCalls) {
+    Epoch = H;
+    EpochPeriod = PeriodCalls;
+  }
 
   /// The per-function code-version store. The adaptive controller
   /// installs re-optimized versions here; they take effect at the next
@@ -138,9 +156,10 @@ public:
   RunResult run();
 
 private:
-  template <bool HasObservers, bool HasRuntime, bool HasStats,
-            bool HasTrace, bool HasAdapt, bool HasTime = false>
-  RunResult runImpl();
+  /// The row the attached objects select; aborts on any other mix.
+  ExecMode selectMode() const;
+
+  template <ExecMode M> RunResult runImpl();
 
   VersionTable VT;
   /// Address-space size: Module::MemWords rounded up to a power of two

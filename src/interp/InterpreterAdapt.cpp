@@ -1,8 +1,7 @@
 //===- interp/InterpreterAdapt.cpp - Adaptive dispatch loop ----------------===//
 ///
-/// The HasAdapt=true specializations of Interpreter::runImpl<>: the
-/// dispatch loop with the epoch hook compiled into the Call opcode
-/// (every EpochPeriod calls, the attached EpochHook samples the live
+/// The Adaptive row of Interpreter::runImpl<>: the dispatch loop with
+/// the epoch hook compiled into the Call opcode (every EpochPeriod calls, the attached EpochHook samples the live
 /// PathTable counters and may install or revert code versions in the
 /// VersionTable -- the adaptive controller's sampling point, DESIGN.md
 /// §12). Kept out of Interpreter.cpp for the same measured reason as
@@ -10,9 +9,9 @@
 /// not change when adaptive support is compiled in (see
 /// interp/InterpreterLoop.inc).
 ///
-/// The hook samples live counters, so only the HasRuntime=true,
-/// HasStats=false, HasTrace=false configurations exist; run() asserts
-/// the exclusivity.
+/// The hook samples live counters, so the row always has a runtime and
+/// never observers, telemetry or a recorder; run() rejects every other
+/// mix.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -24,5 +23,4 @@ using namespace ppp;
 
 #include "interp/InterpreterLoop.inc"
 
-template RunResult Interpreter::runImpl<false, true, false, false, true>();
-template RunResult Interpreter::runImpl<true, true, false, false, true>();
+template RunResult Interpreter::runImpl<ExecMode::Adaptive>();

@@ -1,7 +1,8 @@
 //===- interp/InterpreterStats.cpp - Telemetry dispatch loop ---------------===//
 ///
-/// The HasStats=true specializations of Interpreter::runImpl<> and the
-/// once-per-run registry flush they call. Kept out of Interpreter.cpp
+/// The telemetry rows of Interpreter::runImpl<> (CleanStats,
+/// ObservedStats, ProfiledStats) and the once-per-run registry flush
+/// they call. Kept out of Interpreter.cpp
 /// on purpose: the clean fast path's code generation must not change
 /// when telemetry is compiled in (see interp/InterpreterLoop.inc).
 ///
@@ -72,7 +73,6 @@ void flushInterpStats(const uint64_t (&OpCount)[NumOpcodes],
 
 #include "interp/InterpreterLoop.inc"
 
-template RunResult Interpreter::runImpl<false, false, true, false, false>();
-template RunResult Interpreter::runImpl<false, true, true, false, false>();
-template RunResult Interpreter::runImpl<true, false, true, false, false>();
-template RunResult Interpreter::runImpl<true, true, true, false, false>();
+template RunResult Interpreter::runImpl<ExecMode::CleanStats>();
+template RunResult Interpreter::runImpl<ExecMode::ObservedStats>();
+template RunResult Interpreter::runImpl<ExecMode::ProfiledStats>();

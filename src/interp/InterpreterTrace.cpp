@@ -1,15 +1,14 @@
 //===- interp/InterpreterTrace.cpp - Trace-recording dispatch loop ---------===//
 ///
-/// The HasTrace=true specializations of Interpreter::runImpl<>: the
-/// dispatch loop with branch-target packet recording compiled in
-/// (CondBr appends a bit, Switch a varint, into the attached
+/// The Trace row of Interpreter::runImpl<>: the dispatch loop with
+/// branch-target packet recording compiled in (CondBr appends a bit, Switch a varint, into the attached
 /// trace::TraceRecorder's chunked buffers). Kept out of Interpreter.cpp
 /// for the same measured reason as InterpreterStats.cpp: the clean fast
 /// path's code generation must not change when recording support is
 /// compiled in (see interp/InterpreterLoop.inc).
 ///
-/// Recording runs on clean modules, so only the HasRuntime=false,
-/// HasStats=false configurations exist; run() asserts the exclusivity.
+/// Recording runs on clean modules with no observers and no telemetry;
+/// run() rejects every other mix.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -21,5 +20,4 @@ using namespace ppp;
 
 #include "interp/InterpreterLoop.inc"
 
-template RunResult Interpreter::runImpl<false, false, false, true, false>();
-template RunResult Interpreter::runImpl<true, false, false, true, false>();
+template RunResult Interpreter::runImpl<ExecMode::Trace>();

@@ -1,8 +1,7 @@
 //===- interp/InterpreterTraceTimed.cpp - Timed trace dispatch loop --------===//
 ///
-/// The HasTime=true specializations of Interpreter::runImpl<>: the
-/// trace-recording dispatch loop with cost stamps compiled in (every
-/// Ret appends the zigzag varint delta of the accumulated cost counter
+/// The TimedTrace row of Interpreter::runImpl<>: the trace-recording
+/// dispatch loop with cost stamps compiled in (every Ret appends the zigzag varint delta of the accumulated cost counter
 /// into the attached trace::TraceRecorder, and chunk seals capture the
 /// absolute cost in the cursor). Kept out of both Interpreter.cpp and
 /// InterpreterTrace.cpp for the same measured reason as
@@ -10,9 +9,8 @@
 /// recording loop's code generation may change when timing support is
 /// compiled in (see interp/InterpreterLoop.inc).
 ///
-/// Timing rides the trace stream, so only the HasTrace=true,
-/// HasRuntime=false, HasStats=false configurations exist; run()
-/// selects these off TraceRecorder::timestampsEnabled().
+/// Timing rides the trace stream; run() selects this row off
+/// TraceRecorder::timestampsEnabled().
 ///
 //===----------------------------------------------------------------------===//
 
@@ -24,7 +22,4 @@ using namespace ppp;
 
 #include "interp/InterpreterLoop.inc"
 
-template RunResult
-Interpreter::runImpl<false, false, false, true, false, true>();
-template RunResult
-Interpreter::runImpl<true, false, false, true, false, true>();
+template RunResult Interpreter::runImpl<ExecMode::TimedTrace>();

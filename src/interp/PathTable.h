@@ -87,8 +87,8 @@ template <uint64_t D> inline uint64_t fastRemainder(uint64_t N) {
 #endif
 }
 
-/// Counter-update statistics accumulated by the telemetry-enabled
-/// interpreter specialization (obs::interpStatsEnabled()). Locals in
+/// Counter-update statistics accumulated by the interpreter's telemetry
+/// rows (obs::interpStatsEnabled()). Locals in
 /// the dispatch loop, flushed to the obs registry once per run; the
 /// stats-free increment() overloads never touch them.
 struct PathProbeStats {
@@ -121,7 +121,7 @@ public:
 
   /// increment() plus probe accounting into \p S. Must mutate the table
   /// exactly like increment() -- the fastpath guard test pins that the
-  /// telemetry specialization is observationally identical.
+  /// telemetry rows are observationally identical.
   void incrementStats(int64_t Index, PathProbeStats &S);
 
   /// Original-TPP checked counting: negative indices mean the register

@@ -1,8 +1,8 @@
 //===- trace/TraceRecorder.h - Hot-loop branch-target recorder -*- C++ -*-===//
 ///
 /// \file
-/// The recording half of the trace backend. The interpreter's HasTrace
-/// dispatch specialization calls condBit()/switchTarget() at every
+/// The recording half of the trace backend. The interpreter's Trace and
+/// TimedTrace dispatch rows call condBit()/switchTarget() at every
 /// CondBr/Switch; everything here is header-only so those calls inline
 /// into the dispatch loop and the common path is a shift, an OR, and a
 /// predictable counter test -- no hashing, no table probe, and (thanks
@@ -140,8 +140,8 @@ public:
   }
 
   /// True when this recorder emits a cost-stamp varint at every Ret
-  /// (the interpreter selects its timed dispatch specialization off
-  /// this flag).
+  /// (the interpreter selects its TimedTrace dispatch row off this
+  /// flag).
   bool timestampsEnabled() const { return Timed; }
 
   /// True when the next condBit() must be preceded by seal(): the

@@ -3,6 +3,8 @@
 #include "interp/Interpreter.h"
 #include "ir/IRBuilder.h"
 #include "ir/Verifier.h"
+#include "obs/Obs.h"
+#include "trace/TraceRecorder.h"
 
 #include "gtest/gtest.h"
 
@@ -376,6 +378,157 @@ TEST(Interp, ChecksumDetectsMemoryDifferences) {
   M2.function(0).Blocks[0].Instrs[1].Imm = 43; // Store a different value.
   EXPECT_NE(Interpreter(M).run().MemChecksum,
             Interpreter(M2).run().MemChecksum);
+}
+
+//===----------------------------------------------------------------------===//
+// Mode selection: run() rejects every mix of attached objects outside
+// the ExecMode table with a diagnostic, in release builds too.
+//===----------------------------------------------------------------------===//
+
+/// main() { count[0]++; return 0; } -- the smallest instrumented module.
+Module countingModule() {
+  Module M;
+  IRBuilder B(M);
+  B.beginFunction("main", 0);
+  RegId Z = B.emitConst(0);
+  Instr K;
+  K.Op = Opcode::ProfCountConst;
+  K.Imm = 0;
+  M.function(0).Blocks[0].Instrs.push_back(K);
+  B.emitRet(Z);
+  B.endFunction();
+  return M;
+}
+
+ProfileRuntime countingRuntime() {
+  ProfileRuntime RT(1);
+  RT.setTable(0, PathTable::makeArray(1));
+  return RT;
+}
+
+class NullObserver : public ExecObserver {};
+
+class NullHook : public EpochHook {
+public:
+  void onEpoch(uint64_t, uint64_t) override {}
+};
+
+TEST(InterpModeDeathTest, ObserversRejectRuntime) {
+  Module M = countingModule();
+  ProfileRuntime RT = countingRuntime();
+  NullObserver Obs;
+  Interpreter I(M);
+  I.setProfileRuntime(&RT);
+  I.addObserver(&Obs);
+  EXPECT_DEATH(I.run(), "observers watch clean modules only");
+}
+
+TEST(InterpModeDeathTest, ObserversRejectTraceRecorder) {
+  Module M = countingModule();
+  NullObserver Obs;
+  trace::TraceRecorder Rec;
+  Interpreter I(M);
+  I.setTraceRecorder(&Rec);
+  I.addObserver(&Obs);
+  EXPECT_DEATH(I.run(), "observers watch clean modules only");
+}
+
+TEST(InterpModeDeathTest, ObserversRejectEpochHook) {
+  Module M = countingModule();
+  ProfileRuntime RT = countingRuntime();
+  NullObserver Obs;
+  NullHook Hook;
+  Interpreter I(M);
+  I.setProfileRuntime(&RT);
+  I.setEpochHook(&Hook, 1);
+  I.addObserver(&Obs);
+  EXPECT_DEATH(I.run(), "observers watch clean modules only");
+}
+
+TEST(InterpModeDeathTest, TraceRecorderRejectsRuntime) {
+  Module M = countingModule();
+  ProfileRuntime RT = countingRuntime();
+  trace::TraceRecorder Rec;
+  Interpreter I(M);
+  I.setProfileRuntime(&RT);
+  I.setTraceRecorder(&Rec);
+  EXPECT_DEATH(I.run(), "trace recorder .* profiling runtime");
+}
+
+TEST(InterpModeDeathTest, TraceRecorderRejectsEpochHook) {
+  Module M = countingModule();
+  NullHook Hook;
+  trace::TraceRecorder Rec;
+  Interpreter I(M);
+  I.setTraceRecorder(&Rec);
+  I.setEpochHook(&Hook, 1);
+  EXPECT_DEATH(I.run(), "trace recorder cannot run with an epoch hook");
+}
+
+TEST(InterpModeDeathTest, EpochHookRequiresRuntime) {
+  Module M = countingModule();
+  NullHook Hook;
+  Interpreter I(M);
+  I.setEpochHook(&Hook, 1);
+  EXPECT_DEATH(I.run(), "epoch hook samples a profiling runtime");
+}
+
+TEST(InterpModeDeathTest, EpochHookRequiresPositivePeriod) {
+  Module M = countingModule();
+  ProfileRuntime RT = countingRuntime();
+  NullHook Hook;
+  Interpreter I(M);
+  I.setProfileRuntime(&RT);
+  I.setEpochHook(&Hook, 0);
+  EXPECT_DEATH(I.run(), "epoch hook needs a positive period");
+}
+
+TEST(InterpModeDeathTest, ProfOpWithoutRuntime) {
+  Module M = countingModule();
+  Interpreter I(M);
+  EXPECT_DEATH(I.run(), "prof.count.const in function 0 ran with no "
+                        "ProfileRuntime");
+}
+
+TEST(InterpMode, RowsWithoutStatsAreCounted) {
+  // Trace, timed-trace and adaptive rows have no telemetry twin: with
+  // telemetry on, each run bumps its row's stats_skipped counter
+  // instead of recording interp.* data.
+  Module M = countingModule();
+  ProfileRuntime RT = countingRuntime();
+  NullHook Hook;
+  auto Skipped = [](const char *Row) {
+    return obs::counter(std::string("interp.stats_skipped.") + Row).value();
+  };
+  uint64_t Trace0 = Skipped("trace");
+  uint64_t Timed0 = Skipped("timed_trace");
+  uint64_t Adapt0 = Skipped("adaptive");
+  uint64_t Runs0 = obs::counter("interp.runs").value();
+
+  obs::setInterpStatsForTesting(1);
+  Interpreter A(M);
+  A.setProfileRuntime(&RT);
+  A.setEpochHook(&Hook, 1);
+  A.run();
+  Module Clean;
+  IRBuilder B(Clean);
+  B.beginFunction("main", 0);
+  B.emitRet(B.emitConst(0));
+  B.endFunction();
+  trace::TraceRecorder Rec, TimedRec(trace::DefaultTraceChunkBytes, true);
+  Interpreter T(Clean);
+  T.setTraceRecorder(&Rec);
+  T.run();
+  T.setTraceRecorder(&TimedRec);
+  T.run();
+  obs::setInterpStatsForTesting(0);
+  A.run(); // Telemetry off: nothing was skipped.
+  obs::setInterpStatsForTesting(-1);
+
+  EXPECT_EQ(Skipped("trace"), Trace0 + 1);
+  EXPECT_EQ(Skipped("timed_trace"), Timed0 + 1);
+  EXPECT_EQ(Skipped("adaptive"), Adapt0 + 1);
+  EXPECT_EQ(obs::counter("interp.runs").value(), Runs0);
 }
 
 } // namespace

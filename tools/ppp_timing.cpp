@@ -1,28 +1,34 @@
-//===- tools/ppp_timing.cpp - Per-path timing attribution CLI -----------------===//
+//===- tools/ppp_timing.cpp - Trace backend and timing attribution CLI --------===//
 ///
 /// \file
-/// File-level driver for timing-annotated tracing, the vehicle for
-/// tools/timing_smoke.sh and for eyeballing where a workload's cycles
-/// actually go:
+/// File-level driver for the trace backend, the vehicle for
+/// tools/trace_smoke.sh's byte-identity checks and for eyeballing where
+/// a workload's cycles actually go:
 ///
-///   ppp_timing record --bench=NAME --out=trace.bin [--chunk=N]
-///   ppp_timing decode --bench=NAME --trace=trace.bin --out=counts.bin
-///                     [--report] [--paths=N] [--window=N] [--topk=K]
-///                     [--threshold=F]
+///   ppp_timing record  --bench=NAME --out=trace.bin [--chunk=N]
+///   ppp_timing decode  --bench=NAME --trace=trace.bin --out=counts.bin
+///                      [--report] [--paths=N] [--window=N] [--topk=K]
+///                      [--threshold=F]
+///   ppp_timing counter --bench=NAME --out=counts.bin
 ///
 /// `record` runs the named suite benchmark's *clean* expanded module
-/// with timed packet recording (cost stamps at every Ret) and writes
-/// the framed recording. `decode` replays it by parallel chunk decode
-/// (PPP_JOBS workers), writes the canonical 'bPSC' counts frame --
-/// byte-comparable against trace_roundtrip's counter baseline -- and
-/// *verifies the conservation law itself*: attributed + unattributed
-/// must equal the replayed total cost exactly, or the tool exits
-/// nonzero. `--report` additionally prints the per-path latency table
-/// (top N by total exclusive cost) and the phase-detection windows with
-/// their boundaries.
+/// with packet recording and writes the framed recording, stamped with
+/// this build's PrepPipelineVersion. The recording is timed (cost
+/// stamps at every due Ret) exactly when `--spec` parses with
+/// TraceTimestamps, the rule the experiment harness uses. `decode`
+/// replays it by parallel chunk decode (PPP_JOBS workers) and writes
+/// the canonical 'bPSC' counts frame (profile/Merge.h). For a timed
+/// recording it also *verifies the conservation law itself* --
+/// attributed + unattributed must equal the replayed total cost
+/// exactly, or the tool exits nonzero -- and `--report` prints the
+/// per-path latency table (top N by total exclusive cost) and the
+/// phase-detection windows with their boundaries. `counter` runs the
+/// instrumented module over the counter runtime -- the online
+/// baseline. Both count paths write the same frame, so two equal
+/// profiles are equal *files*: `cmp` is the oracle, at any job count.
 ///
 /// Every subcommand instruments with the `trace+time` profiler spec's
-/// plan; `--spec` substitutes another preset for the counts layout.
+/// plan; `--spec` substitutes another (`trace` records untimed).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -51,10 +57,11 @@ namespace {
 void usage() {
   std::fprintf(
       stderr,
-      "usage: ppp_timing record --bench=NAME --out=FILE [--chunk=N]\n"
-      "       ppp_timing decode --bench=NAME --trace=FILE --out=FILE\n"
-      "                         [--report] [--paths=N] [--window=N]\n"
-      "                         [--topk=K] [--threshold=F]\n"
+      "usage: ppp_timing record  --bench=NAME --out=FILE [--chunk=N]\n"
+      "       ppp_timing decode  --bench=NAME --trace=FILE --out=FILE\n"
+      "                          [--report] [--paths=N] [--window=N]\n"
+      "                          [--topk=K] [--threshold=F]\n"
+      "       ppp_timing counter --bench=NAME --out=FILE\n"
       "       (common: [--spec=PROFILER], decode honors PPP_JOBS)\n");
 }
 
@@ -137,6 +144,78 @@ void printReport(const Module &M, const trace::PathTimingProfile &Timing,
   }
 }
 
+/// `decode`: replays the recording at \p TracePath into \p RT. Timed
+/// recordings also get the conservation check and the optional report.
+/// Returns a process exit code.
+int decode(const PreparedBenchmark &B, const InstrumentationResult &IR,
+           ProfileRuntime &RT, const std::string &TracePath, bool Report,
+           size_t MaxPaths, const trace::PathTimingOptions &TOpts) {
+  std::string Blob, Err;
+  trace::TraceRecording Rec;
+  if (!readFile(TracePath, Blob)) {
+    std::fprintf(stderr, "error: cannot read %s\n", TracePath.c_str());
+    return 1;
+  }
+  if (!trace::readTraceBinary(Blob, Rec, Err)) {
+    std::fprintf(stderr, "error: %s: %s\n", TracePath.c_str(), Err.c_str());
+    return 1;
+  }
+  if (Report && !Rec.Timed) {
+    std::fprintf(stderr, "error: --report needs a timed recording; %s "
+                         "is untimed (record it with --spec=trace+time)\n",
+                 TracePath.c_str());
+    return 1;
+  }
+  if (Rec.PipelineVersion != 0 && Rec.PipelineVersion != PrepPipelineVersion) {
+    std::fprintf(stderr,
+                 "error: %s was recorded by prep pipeline %u, this build "
+                 "is %u\n",
+                 TracePath.c_str(), Rec.PipelineVersion, PrepPipelineVersion);
+    return 1;
+  }
+
+  trace::TraceDecoder Dec(B.Expanded, IR, B.Costs);
+  trace::DecodeStats DS;
+  trace::PathTimingProfile Timing(TOpts);
+  if (!decodeTraceParallel(Dec, Rec, RT, DS, Err,
+                           Rec.Timed ? &Timing : nullptr)) {
+    std::fprintf(stderr, "error: decode failed: %s\n", Err.c_str());
+    return 1;
+  }
+  std::printf("decoded %s: %llu chunks, %llu events, %llu increments "
+              "(%u jobs)\n",
+              B.Name.c_str(), (unsigned long long)DS.Chunks,
+              (unsigned long long)(DS.CondEvents + DS.SwitchEvents),
+              (unsigned long long)DS.Increments,
+              parallelJobs(Rec.Chunks.size()));
+  if (!Rec.Timed)
+    return 0;
+
+  Timing.finishPhases();
+  Timing.flushMetrics();
+  // The conservation law is this tool's own exit-code contract: every
+  // replayed cost unit is attributed exactly once.
+  if (Timing.attributedCost() + Timing.unattributedCost() !=
+      Timing.totalCost()) {
+    std::fprintf(stderr,
+                 "error: conservation violated: %llu attributed + %llu "
+                 "unattributed != %llu total\n",
+                 (unsigned long long)Timing.attributedCost(),
+                 (unsigned long long)Timing.unattributedCost(),
+                 (unsigned long long)Timing.totalCost());
+    return 1;
+  }
+  std::printf("timed %s: total=%llu attributed=%llu unattributed=%llu "
+              "paths=%zu stamps=%llu\n",
+              B.Name.c_str(), (unsigned long long)Timing.totalCost(),
+              (unsigned long long)Timing.attributedCost(),
+              (unsigned long long)Timing.unattributedCost(),
+              Timing.paths().size(), (unsigned long long)DS.StampEvents);
+  if (Report)
+    printReport(B.Expanded, Timing, MaxPaths);
+  return 0;
+}
+
 } // namespace
 
 int main(int Argc, char **Argv) {
@@ -180,18 +259,19 @@ int main(int Argc, char **Argv) {
   }
   if (Bench.empty() || Out.empty() ||
       (Cmd == "decode" && TracePath.empty()) ||
-      (Cmd != "record" && Cmd != "decode")) {
+      (Cmd != "record" && Cmd != "decode" && Cmd != "counter")) {
     usage();
     return 2;
   }
 
   PreparedBenchmark B = prepare(findBench(Bench));
+  ProfilerOptions Opts = mustParseProfilerSpec(Spec);
 
   if (Cmd == "record") {
     InterpOptions IO;
     IO.Costs = B.Costs;
     Interpreter I(B.Expanded, IO);
-    trace::TraceRecorder Rec(ChunkBytes, /*Timestamps=*/true);
+    trace::TraceRecorder Rec(ChunkBytes, Opts.TraceTimestamps);
     I.setTraceRecorder(&Rec);
     if (I.run().FuelExhausted) {
       std::fprintf(stderr, "error: traced %s hung\n", Bench.c_str());
@@ -206,74 +286,30 @@ int main(int Argc, char **Argv) {
       return 1;
     }
     std::printf("recorded %s: %llu bytes (%llu stamp), %zu chunks, "
-                "%llu stamps\n",
+                "%llu events, %llu stamps\n",
                 Bench.c_str(),
                 (unsigned long long)Rec.recording().TotalBytes,
                 (unsigned long long)Rec.stampBytes(),
                 Rec.recording().Chunks.size(),
+                (unsigned long long)(Rec.condEvents() + Rec.switchEvents()),
                 (unsigned long long)Rec.stampEvents());
     return 0;
   }
 
-  std::string Blob, Err;
-  trace::TraceRecording Rec;
-  if (!readFile(TracePath, Blob)) {
-    std::fprintf(stderr, "error: cannot read %s\n", TracePath.c_str());
-    return 1;
-  }
-  if (!trace::readTraceBinary(Blob, Rec, Err)) {
-    std::fprintf(stderr, "error: %s: %s\n", TracePath.c_str(), Err.c_str());
-    return 1;
-  }
-  if (!Rec.Timed) {
-    std::fprintf(stderr, "error: %s is not a timed recording (record it "
-                         "with ppp_timing, not trace_roundtrip)\n",
-                 TracePath.c_str());
-    return 1;
-  }
-  if (Rec.PipelineVersion != 0 && Rec.PipelineVersion != PrepPipelineVersion) {
-    std::fprintf(stderr,
-                 "error: %s was recorded by prep pipeline %u, this build "
-                 "is %u\n",
-                 TracePath.c_str(), Rec.PipelineVersion, PrepPipelineVersion);
-    return 1;
-  }
-
-  InstrumentationResult IR =
-      instrumentModule(B.Expanded, B.EP, mustParseProfilerSpec(Spec));
+  InstrumentationResult IR = instrumentModule(B.Expanded, B.EP, Opts);
   ProfileRuntime RT = IR.makeRuntime();
-  trace::TraceDecoder Dec(B.Expanded, IR, B.Costs);
-  trace::DecodeStats DS;
-  trace::PathTimingProfile Timing(TOpts);
-  if (!decodeTraceParallel(Dec, Rec, RT, DS, Err, &Timing)) {
-    std::fprintf(stderr, "error: decode failed: %s\n", Err.c_str());
-    return 1;
-  }
-  Timing.finishPhases();
-  Timing.flushMetrics();
 
-  // The conservation law is this tool's own exit-code contract: every
-  // replayed cost unit is attributed exactly once.
-  if (Timing.attributedCost() + Timing.unattributedCost() !=
-      Timing.totalCost()) {
-    std::fprintf(stderr,
-                 "error: conservation violated: %llu attributed + %llu "
-                 "unattributed != %llu total\n",
-                 (unsigned long long)Timing.attributedCost(),
-                 (unsigned long long)Timing.unattributedCost(),
-                 (unsigned long long)Timing.totalCost());
-    return 1;
-  }
-
-  std::printf("decoded %s: total=%llu attributed=%llu unattributed=%llu "
-              "paths=%zu stamps=%llu (%u jobs)\n",
-              Bench.c_str(), (unsigned long long)Timing.totalCost(),
-              (unsigned long long)Timing.attributedCost(),
-              (unsigned long long)Timing.unattributedCost(),
-              Timing.paths().size(), (unsigned long long)DS.StampEvents,
-              parallelJobs(Rec.Chunks.size()));
-  if (Report)
-    printReport(B.Expanded, Timing, MaxPaths);
+  if (Cmd == "counter") {
+    InterpOptions IO;
+    IO.Costs = B.Costs;
+    Interpreter I(IR.Instrumented, IO);
+    I.setProfileRuntime(&RT);
+    if (I.run().FuelExhausted) {
+      std::fprintf(stderr, "error: instrumented %s hung\n", Bench.c_str());
+      return 1;
+    }
+  } else if (int Rc = decode(B, IR, RT, TracePath, Report, MaxPaths, TOpts))
+    return Rc;
 
   if (!writeFile(Out, writeCountsBinary(countsFromRun(Bench, IR, RT)))) {
     std::fprintf(stderr, "error: cannot write %s\n", Out.c_str());

@@ -29,17 +29,15 @@ tools/obs_smoke.sh "$REPO_ROOT/build"
 # sequential oracle's bytes, and bench_diff.py passes its self-test.
 tools/served_smoke.sh "$REPO_ROOT/build"
 
-# Trace smoke stage (also the trace_smoke ctest): record a clean-module
-# packet stream, decode it in parallel, and require the reconstructed
-# counters byte-identical to the online counter backend's canonical
-# counts frame at every chunk size / worker count combination.
+# Trace smoke stage (also the trace_smoke and timing_smoke ctests, one
+# per half): record a clean-module
+# packet stream, untimed and with cost stamps, decode it in parallel,
+# and require the reconstructed counters byte-identical to the online
+# counter backend's canonical counts frame (and timed decodes to
+# conserve cost exactly) at every chunk size / worker count
+# combination. The timed trace unit tests also run under the sanitizer
+# stage below via ctest.
 tools/trace_smoke.sh "$REPO_ROOT/build"
-
-# Timing smoke stage (also the timing_smoke ctest): record with cost
-# stamps, decode, require counts byte-identical to the counter backend
-# and exact cost conservation, two chunk sizes x 1/4 workers. The timed
-# trace unit tests also run under the sanitizer stage below via ctest.
-tools/timing_smoke.sh "$REPO_ROOT/build"
 
 # Fuzz smoke stage (also the fuzz_smoke ctest): the fixed-seed
 # adversarial corpus through all three profilers with differential

@@ -52,6 +52,10 @@ echo "== served smoke: sequential oracle =="
 }
 
 echo "== served smoke: server + 4 concurrent clients =="
+# Create the port file before the server starts: the background job's
+# redirection may not have run yet when the first poll below reads it,
+# and a sed on a missing file would end the script under set -e.
+: >"$WORK/server.out"
 "$SERVED" serve --expect=4 --shards=4 --dump="$WORK/served.txt" \
   >"$WORK/server.out" 2>"$WORK/server.err" &
 SERVER_PID=$!
