@@ -17,22 +17,26 @@
 ///
 /// Workloads are phase-shifting programs (workload/Generator.h's fused
 /// phased modules, whose hot set migrates wholesale mid-run) plus
-/// stable single-phase controls. Steady state is the last half of the
-/// reps: by then the controller has specialized the hot set and shed
-/// its instrumentation, so what remains is the structural comparison --
-/// static spreads one bloat budget across every phase's hot code,
-/// adaptive spends a whole budget per hot function.
+/// stable single-phase controls. Steady state is the second half of
+/// each pipeline's 24 runs (bench/Measure.h: 12 warm-up runs, then 6
+/// blocked reps of a lead run plus a timed run): by then the controller
+/// has specialized the hot set and shed its instrumentation, so what
+/// remains is the structural comparison -- static spreads one bloat
+/// budget across every phase's hot code, adaptive spends a whole budget
+/// per hot function.
 ///
-/// Effective MIPS = clean-module DynInstrs / wall seconds, so all three
-/// pipelines are measured in the same unit of useful work. Every
-/// adaptive (and static) run is checked bit-identical to clean in
+/// Effective MIPS = clean-module DynInstrs / wall seconds, so every
+/// pipeline is measured in the same unit of useful work; ratio is the
+/// blocked wall-time ratio static / adaptive. Every run of every
+/// pipeline is checked bit-identical to clean in
 /// ReturnValue/MemChecksum before any number is reported.
 ///
 /// `--json[=PATH]` writes `adapt.` metrics (BENCH_adapt.json default)
-/// in the "ppp-metrics-v1" schema for tools/bench_diff.py --gate adapt;
-/// PPP_ADAPT_REPS overrides the repetition count.
+/// in the "ppp-metrics-v1" schema for tools/bench_diff.py --gate adapt.
 ///
 //===----------------------------------------------------------------------===//
+
+#include "Measure.h"
 
 #include "adapt/AdaptiveSession.h"
 #include "obs/Obs.h"
@@ -40,46 +44,46 @@
 #include "opt/Unroller.h"
 #include "workload/Generator.h"
 
-#include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
 using namespace ppp;
 using namespace ppp::adapt;
+using namespace ppp::bench;
 
 namespace {
 
-unsigned repsFromEnv() {
-  if (const char *E = std::getenv("PPP_ADAPT_REPS"))
-    if (long V = std::strtol(E, nullptr, 10); V > 0)
-      return static_cast<unsigned>(V);
-  return 24;
-}
+/// 12 warm-up runs, then 6 blocked reps (a lead run plus a timed run
+/// each): every pipeline runs 24 times.
+constexpr unsigned Warmup = 12, Reps = 6;
 
-using Clock = std::chrono::steady_clock;
-
-double secsSince(Clock::time_point Begin) {
-  return std::chrono::duration<double>(Clock::now() - Begin).count();
-}
+/// Effective MIPS per pipeline (Instr: instrumented, controller never
+/// fires), the floor's wall time over clean, and the static / adaptive
+/// wall-time ratio.
+enum Column {
+  CleanMips,
+  InstrMips,
+  StaticMips,
+  AdaptiveMips,
+  InstrRatio,
+  Ratio,
+  NumColumns
+};
+constexpr const char *ColumnKeys[NumColumns] = {
+    "clean_mips",    "instr_mips",  "static_mips",
+    "adaptive_mips", "instr_ratio", "ratio"};
 
 struct BenchRow {
   std::string Name;
   bool Phased = false;
-  double CleanMips = 0;
-  double InstrMips = 0; ///< Instrumented, controller never fires.
-  double StaticMips = 0;
-  double AdaptiveMips = 0;
+  Spread Col[NumColumns];
   uint64_t Installed = 0;
   uint64_t Reverted = 0;
   uint64_t Epochs = 0;
 
-  double ratio() const {
-    return StaticMips > 0 ? AdaptiveMips / StaticMips : 0;
-  }
+  double ratio() const { return Col[Ratio].Median; }
 };
 
 /// One workload under test: a module plus how it was built.
@@ -155,12 +159,11 @@ void dieIfDiffers(const char *What, const Subject &S, const RunResult &Ref,
   exit(1);
 }
 
-BenchRow measureSubject(const Subject &S, unsigned Reps) {
+BenchRow measureSubject(const Subject &S) {
   BenchRow Row;
   Row.Name = S.Name;
   Row.Phased = S.Phased;
   InterpOptions IO;
-  unsigned Steady = Reps / 2;
 
   // Clean reference: semantics and the effective-MIPS numerator.
   Interpreter Clean(S.M, IO);
@@ -169,14 +172,6 @@ BenchRow measureSubject(const Subject &S, unsigned Reps) {
     fprintf(stderr, "error: %s: clean run exhausted fuel\n", S.Name.c_str());
     exit(1);
   }
-  for (unsigned R = 1; R < Reps - Steady; ++R)
-    Clean.run();
-  Clock::time_point T0 = Clock::now();
-  for (unsigned R = 0; R < Steady; ++R)
-    Clean.run();
-  double CleanSec = secsSince(T0);
-  double Work = static_cast<double>(Ref.DynInstrs) * Steady;
-  Row.CleanMips = CleanSec > 0 ? Work / CleanSec / 1e6 : 0;
 
   // Static one-shot PGO: the same profile the adaptive session gets as
   // instrumentation advice, spent all at once. Unroll advice must come
@@ -187,33 +182,22 @@ BenchRow measureSubject(const Subject &S, unsigned Reps) {
   EdgeProfile Advice2 = AdaptiveSession::collectAdvice(Opt, IO);
   runUnroller(Opt, Advice2);
   Interpreter Static(Opt, IO);
-  dieIfDiffers("static", S, Ref, Static.run());
 
   // Instrumented floor: the same PPP-instrumented module the adaptive
   // session runs, but with an epoch cadence it never reaches -- what
   // "always profiling, never acting" costs. The gap up to static is
   // what adaptation has to claw back.
-  {
-    AdaptiveOptions Never;
-    Never.EpochCalls = ~0ull;
-    std::unique_ptr<AdaptiveSession> Floor =
-        AdaptiveSession::create(S.M, Advice, IO, Never);
-    dieIfDiffers("instrumented", S, Ref, Floor->run());
-    for (unsigned R = 1; R < Reps - Steady; ++R)
-      Floor->run();
-    T0 = Clock::now();
-    for (unsigned R = 0; R < Steady; ++R)
-      Floor->run();
-    double InstrSec = secsSince(T0);
-    Row.InstrMips = InstrSec > 0 ? Work / InstrSec / 1e6 : 0;
-  }
+  AdaptiveOptions Never;
+  Never.EpochCalls = ~0ull;
+  std::unique_ptr<AdaptiveSession> Floor =
+      AdaptiveSession::create(S.M, Advice, IO, Never);
 
   // Adaptive: instrumented module + controller, versions persisting
-  // across reps. Every rep -- warm-up included -- must stay
-  // bit-identical to clean. The eval window is long and the revert
-  // threshold forgiving because on a phase-shifting program epoch cost
-  // swings with the phase mix, not the candidate version (the revert
-  // path itself is exercised deterministically in tests/adapt_test).
+  // across reps, warm-up included. The eval window is long and the
+  // revert threshold forgiving because on a phase-shifting program
+  // epoch cost swings with the phase mix, not the candidate version
+  // (the revert path itself is exercised deterministically in
+  // tests/adapt_test).
   AdaptiveOptions AO;
   AO.EpochCalls = 256;
   AO.MinPathDelta = 4;
@@ -221,25 +205,18 @@ BenchRow measureSubject(const Subject &S, unsigned Reps) {
   AO.RevertThresholdPct = 60.0;
   std::unique_ptr<AdaptiveSession> Sess =
       AdaptiveSession::create(S.M, Advice, IO, AO);
-  for (unsigned R = 1; R < Reps - Steady; ++R)
-    Static.run();
-  for (unsigned R = 0; R < Reps - Steady; ++R)
-    dieIfDiffers("adaptive", S, Ref, Sess->run());
 
-  // Steady state, static and adaptive interleaved run by run so slow
-  // clock/frequency drift lands on both sides equally.
-  double StaticSec = 0, AdaptSec = 0;
-  for (unsigned R = 0; R < Steady; ++R) {
-    T0 = Clock::now();
-    Static.run();
-    StaticSec += secsSince(T0);
-    T0 = Clock::now();
-    RunResult Got = Sess->run();
-    AdaptSec += secsSince(T0);
-    dieIfDiffers("adaptive", S, Ref, Got);
-  }
-  Row.StaticMips = StaticSec > 0 ? Work / StaticSec / 1e6 : 0;
-  Row.AdaptiveMips = AdaptSec > 0 ? Work / AdaptSec / 1e6 : 0;
+  Samples Secs = measure(
+      {[&] { dieIfDiffers("clean", S, Ref, Clean.run()); },
+       [&] { dieIfDiffers("instrumented", S, Ref, Floor->run()); },
+       [&] { dieIfDiffers("static", S, Ref, Static.run()); },
+       [&] { dieIfDiffers("adaptive", S, Ref, Sess->run()); }},
+      Warmup, Reps);
+  double MInstrs = static_cast<double>(Ref.DynInstrs) / 1e6;
+  for (int V = 0; V < 4; ++V)
+    Row.Col[CleanMips + V] = Secs.rate(V, MInstrs);
+  Row.Col[InstrRatio] = Secs.ratio(1);
+  Row.Col[Ratio] = Secs.ratio(2, 3);
 
   const AdaptStats &St = Sess->controller().stats();
   Row.Installed = St.VersionsInstalled;
@@ -249,87 +226,63 @@ BenchRow measureSubject(const Subject &S, unsigned Reps) {
   return Row;
 }
 
-void writeJson(const std::string &Path, unsigned Reps,
-               const std::vector<BenchRow> &Rows) {
-  obs::gauge("adapt.bench.reps").set(Reps);
-  double Sum[3] = {0, 0, 0};
-  double WorstStableRatio = 2.0, BestPhasedRatio = 0.0;
+void publishRows(const std::vector<BenchRow> &Rows) {
+  obs::gauge("adapt.bench.reps").set(Warmup + 2 * Reps);
+  std::vector<Spread> Avg[NumColumns];
+  Spread WorstStable{2.0, 0}, BestPhased{0, 0};
   for (const BenchRow &R : Rows) {
-    std::string K = "adapt.bench." + R.Name;
-    obs::gauge(K + ".clean_mips").set(R.CleanMips);
-    obs::gauge(K + ".instr_mips").set(R.InstrMips);
-    obs::gauge(K + ".static_mips").set(R.StaticMips);
-    obs::gauge(K + ".adaptive_mips").set(R.AdaptiveMips);
-    obs::gauge(K + ".ratio").set(R.ratio());
-    obs::gauge(K + ".versions_installed")
+    std::string K = "adapt.bench." + R.Name + ".";
+    for (int C = 0; C < NumColumns; ++C) {
+      publish(K + ColumnKeys[C], R.Col[C]);
+      Avg[C].push_back(R.Col[C]);
+    }
+    obs::gauge(K + "versions_installed")
         .set(static_cast<double>(R.Installed));
-    obs::gauge(K + ".versions_reverted")
+    obs::gauge(K + "versions_reverted")
         .set(static_cast<double>(R.Reverted));
-    Sum[0] += R.CleanMips;
-    Sum[1] += R.StaticMips;
-    Sum[2] += R.AdaptiveMips;
-    if (R.Phased)
-      BestPhasedRatio = std::max(BestPhasedRatio, R.ratio());
-    else
-      WorstStableRatio = std::min(WorstStableRatio, R.ratio());
+    if (R.Phased && R.ratio() > BestPhased.Median)
+      BestPhased = R.Col[Ratio];
+    if (!R.Phased && R.ratio() < WorstStable.Median)
+      WorstStable = R.Col[Ratio];
   }
-  size_t N = Rows.empty() ? 1 : Rows.size();
-  obs::gauge("adapt.average.clean_mips").set(Sum[0] / N);
-  obs::gauge("adapt.average.static_mips").set(Sum[1] / N);
-  obs::gauge("adapt.average.adaptive_mips").set(Sum[2] / N);
+  for (int C : {CleanMips, StaticMips, AdaptiveMips})
+    publish(std::string("adapt.average.") + ColumnKeys[C], meanOf(Avg[C]));
   // The acceptance pair: adaptive must win at least one phased workload
   // and stay within 2% of static on every stable one.
-  obs::gauge("adapt.average.best_phased_ratio").set(BestPhasedRatio);
-  obs::gauge("adapt.average.worst_stable_ratio").set(WorstStableRatio);
-
-  std::string Error;
-  if (!obs::writeMetricsJson(Path, "adapt.", &Error)) {
-    fprintf(stderr, "error: %s\n", Error.c_str());
-    exit(1);
-  }
+  publish("adapt.average.best_phased_ratio", BestPhased);
+  publish("adapt.average.worst_stable_ratio", WorstStable);
 }
 
 } // namespace
 
 int main(int argc, char **argv) {
-  bool Json = false;
   std::string JsonPath = "BENCH_adapt.json";
-  for (int I = 1; I < argc; ++I) {
-    if (std::strcmp(argv[I], "--json") == 0) {
-      Json = true;
-    } else if (std::strncmp(argv[I], "--json=", 7) == 0) {
-      Json = true;
-      JsonPath = argv[I] + 7;
-    } else {
-      fprintf(stderr, "usage: adaptive_steadystate [--json[=PATH]]\n");
-      return 2;
-    }
-  }
+  bool Json = jsonFlag(argc, argv, JsonPath);
 
-  unsigned Reps = repsFromEnv();
-  printf("Adaptive vs. static steady state (%u reps, last %u timed; "
-         "effective MIPS = clean DynInstrs / wall sec; every run checked "
-         "bit-identical to clean)\n\n",
-         Reps, Reps / 2);
+  printf("Adaptive vs. static steady state (%u warm-up runs + %u blocked "
+         "reps; effective MIPS = clean DynInstrs / wall sec; ratio = static "
+         "/ adaptive wall time; every run checked bit-identical to "
+         "clean)\n\n",
+         Warmup, Reps);
   printf("%-14s%8s%12s%12s%12s%12s%8s%8s%6s%8s\n", "bench", "kind",
          "clean-mips", "instr-mips", "static-mips", "adapt-mips", "ratio",
          "epochs", "inst", "revert");
 
   std::vector<BenchRow> Rows;
   for (const Subject &S : buildSubjects()) {
-    BenchRow R = measureSubject(S, Reps);
+    BenchRow R = measureSubject(S);
     printf("%-14s%8s%12.2f%12.2f%12.2f%12.2f%8.3f%8llu%6llu%8llu\n",
-           R.Name.c_str(), R.Phased ? "phased" : "stable", R.CleanMips,
-           R.InstrMips, R.StaticMips, R.AdaptiveMips, R.ratio(),
+           R.Name.c_str(), R.Phased ? "phased" : "stable",
+           R.Col[CleanMips].Median, R.Col[InstrMips].Median,
+           R.Col[StaticMips].Median, R.Col[AdaptiveMips].Median, R.ratio(),
            static_cast<unsigned long long>(R.Epochs),
            static_cast<unsigned long long>(R.Installed),
            static_cast<unsigned long long>(R.Reverted));
     Rows.push_back(std::move(R));
   }
+  publishRows(Rows);
 
-  if (Json) {
-    writeJson(JsonPath, Reps, Rows);
-    printf("\nwrote %s\n", JsonPath.c_str());
-  }
+  if (Json)
+    writeReport(JsonPath, "adapt.");
   return 0;
 }

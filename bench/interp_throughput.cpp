@@ -1,28 +1,32 @@
 //===- bench/interp_throughput.cpp - Interpreter speed baseline ---------------===//
 ///
 /// Reports raw interpreter throughput (interpreted instructions per
-/// wall-clock second) for the three execution configurations the
-/// evaluation exercises: a clean run (no observers, no runtime), an
-/// edge-observed run (the "free" edge profile), and a PPP-instrumented
-/// run counting into a ProfileRuntime. This is the regression baseline
-/// for future execution-engine work; unlike every figure/table binary
-/// its numbers are wall-clock based and machine-dependent.
+/// wall-clock second) for the execution configurations the evaluation
+/// exercises, all on the same prepared program (B.Expanded): a clean
+/// run (no observers, no runtime), an edge-observed run (the "free"
+/// edge profile), and a PPP-instrumented run counting into a
+/// ProfileRuntime, plus an A/A variant -- the clean run against itself,
+/// which bounds the method's own bias. MIPS is clean DynInstrs per wall
+/// second for every variant (the same useful work), and each overhead is
+/// a blocked wall-time ratio against clean (bench/Measure.h). This is
+/// the regression baseline for execution-engine work; unlike every
+/// figure/table binary its numbers are wall-clock based and
+/// machine-dependent.
+///
+/// Cold start (interpreter construction plus the first 10k instructions)
+/// is measured the same way, lazy vs eager decode as two variants.
 ///
 /// `--json[=PATH]` additionally measures the full-suite preparation
-/// pipeline cold (computing every benchmark into a fresh cache) and
+/// pipeline cold (every rep computing into a fresh cache directory) vs
 /// warm (loading every benchmark back from disk), and writes the whole
-/// report to PATH (default BENCH_throughput.json) so successive PRs
-/// have a tracked perf trajectory. The report is emitted through the
-/// obs metrics registry (a "ppp-metrics-v1" snapshot filtered to the
-/// `throughput.` keys), so trajectory files and PPP_METRICS run
-/// reports share one schema and one serializer, and
-/// tools/bench_diff.py compares either kind.
-///
-/// PPP_THROUGHPUT_REPS overrides the per-variant repetition count.
+/// report to PATH (default BENCH_throughput.json): the obs registry's
+/// `throughput.` keys in the "ppp-metrics-v1" schema, which
+/// tools/bench_diff.py --gate throughput compares.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "Harness.h"
+#include "Measure.h"
 #include "PrepCache.h"
 
 #include "interp/Interpreter.h"
@@ -30,10 +34,7 @@
 #include "pathprof/Profilers.h"
 #include "profile/Collectors.h"
 
-#include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <string>
 #include <unistd.h>
@@ -44,189 +45,176 @@ using namespace ppp::bench;
 
 namespace {
 
-unsigned repsFromEnv() {
-  if (const char *E = std::getenv("PPP_THROUGHPUT_REPS"))
-    if (long V = std::strtol(E, nullptr, 10); V > 0)
-      return static_cast<unsigned>(V);
-  return 20;
-}
+/// 40 blocked reps per variant: with 20, the A/A ratio's median still
+/// wandered about +-1.3% between runs on a shared 4-vCPU host; 40 keep
+/// it inside +-0.6%.
+constexpr unsigned Warmup = 2, Reps = 40;
 
-struct Measurement {
-  double MInstrsPerSec = 0;
-  uint64_t DynInstrs = 0;
-  uint64_t MemChecksum = 0;
+/// Cold-start latency: interpreter construction plus the first
+/// ColdStartInstrs interpreted instructions. Eager decodes the whole
+/// module up front; lazy (the default) decodes each function at its
+/// first call, so startup only pays for the functions the prefix
+/// touches. One rep is ColdStartsPerRep starts.
+constexpr uint64_t ColdStartInstrs = 10'000;
+constexpr unsigned ColdStartsPerRep = 10;
+
+/// Reported columns: effective MIPS (clean DynInstrs per wall second),
+/// wall time over clean, and cold-start microseconds per start.
+enum Column {
+  CleanMips,
+  EdgeObsMips,
+  PppInstrMips,
+  EdgeObsRatio,
+  PppInstrRatio,
+  AaRatio,
+  ColdLazyUs,
+  ColdEagerUs,
+  NumColumns
 };
-
-/// Times \p Reps runs of \p Setup's interpreter. \p Setup is invoked
-/// once per rep so per-run state (observers, runtime counters) resets
-/// the way the experiment harness resets it.
-template <typename SetupFn>
-Measurement measure(unsigned Reps, SetupFn Setup) {
-  Measurement Out;
-  using Clock = std::chrono::steady_clock;
-  uint64_t TotalInstrs = 0;
-  Clock::time_point Begin = Clock::now();
-  for (unsigned Rep = 0; Rep < Reps; ++Rep) {
-    RunResult R = Setup();
-    TotalInstrs += R.DynInstrs;
-    Out.DynInstrs = R.DynInstrs;
-    Out.MemChecksum = R.MemChecksum;
-  }
-  double Secs = std::chrono::duration<double>(Clock::now() - Begin).count();
-  Out.MInstrsPerSec =
-      Secs > 0 ? static_cast<double>(TotalInstrs) / Secs / 1e6 : 0;
-  return Out;
-}
+constexpr const char *ColumnKeys[NumColumns] = {
+    "clean_mips",     "edge_obs_mips",   "ppp_instr_mips",
+    "edge_obs_ratio", "ppp_instr_ratio", "aa_ratio",
+    "cold_start_lazy_us", "cold_start_eager_us"};
 
 struct BenchRow {
   std::string Name;
-  double Clean = 0, EdgeObs = 0, PppInstr = 0;
   uint64_t DynInstrs = 0;
-  double ColdLazyUs = 0, ColdEagerUs = 0; ///< Construct + first 10k instrs.
+  Spread Col[NumColumns];
   uint64_t LazyDecoded = 0, TotalFns = 0; ///< Functions decoded vs present.
 };
 
-/// Cold-start latency: interpreter construction plus the first
-/// FirstInstrs interpreted instructions. Eager decodes the whole module
-/// up front; lazy (the default) decodes each function at its first
-/// call, so startup only pays for the functions the prefix touches.
-constexpr uint64_t ColdStartInstrs = 10'000;
+BenchRow measureBenchmark(const BenchmarkSpec &Spec) {
+  BenchRow Row;
+  Row.Name = Spec.Name;
+  PreparedBenchmark B = prepare(Spec);
+  const Module &M = B.Expanded;
 
-void measureColdStart(const Module &M, unsigned Reps, BenchRow &Row) {
-  using Clock = std::chrono::steady_clock;
-  unsigned K = Reps * 10;
-  InterpOptions IO;
-  IO.Fuel = ColdStartInstrs;
-  for (int Eager = 0; Eager < 2; ++Eager) {
-    IO.EagerDecode = Eager != 0;
-    Clock::time_point Begin = Clock::now();
-    for (unsigned I = 0; I < K; ++I) {
+  Interpreter Clean(M);
+  Row.DynInstrs = Clean.run().DynInstrs;
+  // One observer across reps: each rep adds the same increments.
+  EdgeProfiler Obs(M);
+  Interpreter Edge(M);
+  Edge.addObserver(&Obs);
+  InstrumentationResult IR =
+      instrumentModule(M, B.EP, ProfilerOptions::ppp());
+  Interpreter Instr(IR.Instrumented);
+  ProfileRuntime RT = IR.makeRuntime();
+  Instr.setProfileRuntime(&RT);
+
+  auto RunClean = [&] { Clean.run(); };
+  Samples S = measure({RunClean, [&] { Edge.run(); },
+                       [&] {
+                         RT.clearCounts();
+                         Instr.run();
+                       },
+                       RunClean},
+                      Warmup, Reps);
+  double MInstrs = static_cast<double>(Row.DynInstrs) / 1e6;
+  for (int V = 0; V < 3; ++V)
+    Row.Col[CleanMips + V] = S.rate(V, MInstrs);
+  for (int V = 1; V < 4; ++V)
+    Row.Col[EdgeObsRatio + V - 1] = S.ratio(V);
+
+  auto ColdStarts = [&](bool Eager) {
+    InterpOptions IO;
+    IO.Fuel = ColdStartInstrs;
+    IO.EagerDecode = Eager;
+    for (unsigned I = 0; I < ColdStartsPerRep; ++I) {
       Interpreter Interp(M, IO);
       Interp.run();
-      if (!Eager && I == 0) {
-        Row.LazyDecoded = Interp.versions().decodedFunctions();
-        Row.TotalFns = Interp.versions().numFunctions();
-      }
     }
-    double Us =
-        std::chrono::duration<double>(Clock::now() - Begin).count() * 1e6 /
-        K;
-    (Eager ? Row.ColdEagerUs : Row.ColdLazyUs) = Us;
+  };
+  {
+    InterpOptions IO;
+    IO.Fuel = ColdStartInstrs;
+    Interpreter Interp(M, IO);
+    Interp.run();
+    Row.LazyDecoded = Interp.versions().decodedFunctions();
+    Row.TotalFns = Interp.versions().numFunctions();
   }
+  Samples C = measure({[&] { ColdStarts(false); }, [&] { ColdStarts(true); }},
+                      Warmup, Reps);
+  Row.Col[ColdLazyUs] = C.time(0, 1e6 / ColdStartsPerRep);
+  Row.Col[ColdEagerUs] = C.time(1, 1e6 / ColdStartsPerRep);
+  return Row;
 }
 
-/// Wall clock of one full-suite preparation pass (steps 1-4 for all 18
-/// benchmarks) against the currently active cache.
-double timeSuitePrepare(const std::vector<BenchmarkSpec> &Suite) {
-  using Clock = std::chrono::steady_clock;
-  Clock::time_point Begin = Clock::now();
-  runSuiteParallel(Suite, [](const BenchmarkSpec &Spec) {
-    return prepareShared(Spec, CostModel()) != nullptr;
-  });
-  return std::chrono::duration<double>(Clock::now() - Begin).count();
-}
-
-struct SuitePrepTiming {
-  unsigned Benchmarks = 0;
-  double ColdSec = 0; ///< Empty cache: compute + serialize + store.
-  double WarmSec = 0; ///< Disk hits only (memory layer dropped between).
-};
-
-/// Measures the suite prepare pipeline cold vs warm in a private
-/// throwaway cache directory, leaving the process-wide cache state the
-/// way it was found.
-SuitePrepTiming measureSuitePrepare() {
-  SuitePrepTiming Out;
+/// Measures and reports the suite prepare pipeline (steps 1-4 for every
+/// benchmark) cold vs warm in private throwaway cache directories,
+/// leaving the process-wide cache state the way it was found. Every
+/// cold rep computes (and serializes and stores) into a fresh
+/// directory; every warm rep reads one populated directory back from
+/// disk, its memory layer dropped first.
+void measureSuitePrepare() {
+  constexpr unsigned PrepWarmup = 1, PrepReps = 4;
   std::vector<BenchmarkSpec> Suite = spec2000Suite();
-  Out.Benchmarks = static_cast<unsigned>(Suite.size());
 
   std::error_code Ec;
-  std::string Dir =
-      (std::filesystem::temp_directory_path(Ec) /
-       ("ppp-throughput-cache-" + std::to_string(::getpid())))
-          .string();
-  std::filesystem::remove_all(Dir, Ec);
-  prepCacheOverride(Dir, true);
-  prepCacheClearMemory();
-
-  Out.ColdSec = timeSuitePrepare(Suite);
-  prepCacheClearMemory(); // Warm pass must come from disk, not memory.
-  Out.WarmSec = timeSuitePrepare(Suite);
-
+  std::filesystem::path Root =
+      std::filesystem::temp_directory_path(Ec) /
+      ("ppp-throughput-cache-" + std::to_string(::getpid()));
+  std::filesystem::remove_all(Root, Ec);
+  auto PrepareIn = [&](const std::string &Dir) {
+    prepCacheOverride(Dir, true);
+    prepCacheClearMemory();
+    runSuiteParallel(Suite, [](const BenchmarkSpec &Spec) {
+      return prepareShared(Spec, CostModel()) != nullptr;
+    });
+  };
+  std::string WarmDir = (Root / "warm").string();
+  PrepareIn(WarmDir);
+  unsigned ColdRuns = 0;
+  auto Cold = [&] {
+    PrepareIn((Root / ("cold" + std::to_string(ColdRuns++))).string());
+  };
+  Samples S =
+      measure({Cold, [&] { PrepareIn(WarmDir); }}, PrepWarmup, PrepReps);
   prepCacheOverride("", true);
   prepCacheClearMemory();
-  std::filesystem::remove_all(Dir, Ec);
-  return Out;
+  std::filesystem::remove_all(Root, Ec);
+
+  printf("\nSuite preparation (steps 1-4, all %zu benchmarks): cold "
+         "%.2fs, warm %.3fs (%.1fx)\n",
+         Suite.size(), S.time(0).Median, S.time(1).Median,
+         S.ratio(0, 1).Median);
+  obs::gauge("throughput.suite_prepare.benchmarks").set(Suite.size());
+  publish("throughput.suite_prepare.cold_sec", S.time(0));
+  publish("throughput.suite_prepare.warm_sec", S.time(1));
+  publish("throughput.suite_prepare.speedup", S.ratio(0, 1));
 }
 
-/// Publishes the report into the obs registry under `throughput.` and
-/// writes the filtered metrics snapshot to \p Path. One serializer for
-/// the trajectory file and PPP_METRICS (DESIGN.md §7).
-void writeJson(const std::string &Path, unsigned Reps,
-               const std::vector<BenchRow> &Rows,
-               const SuitePrepTiming &Prep) {
+/// Publishes the report into the obs registry under `throughput.`.
+void publishRows(const std::vector<BenchRow> &Rows) {
   obs::gauge("throughput.reps").set(Reps);
-  double Sum[3] = {0, 0, 0};
-  double SumCold[2] = {0, 0};
+  std::vector<Spread> Avg[NumColumns];
   for (const BenchRow &R : Rows) {
-    std::string K = "throughput.bench." + R.Name;
-    obs::gauge(K + ".clean_mips").set(R.Clean);
-    obs::gauge(K + ".edge_obs_mips").set(R.EdgeObs);
-    obs::gauge(K + ".ppp_instr_mips").set(R.PppInstr);
-    obs::counter(K + ".dyn_instrs").inc(R.DynInstrs);
-    obs::gauge(K + ".cold_start_lazy_us").set(R.ColdLazyUs);
-    obs::gauge(K + ".cold_start_eager_us").set(R.ColdEagerUs);
-    obs::gauge(K + ".cold_start_decoded_fns")
+    std::string K = "throughput.bench." + R.Name + ".";
+    for (int C = 0; C < NumColumns; ++C) {
+      publish(K + ColumnKeys[C], R.Col[C]);
+      Avg[C].push_back(R.Col[C]);
+    }
+    obs::counter(K + "dyn_instrs").inc(R.DynInstrs);
+    obs::gauge(K + "cold_start_decoded_fns")
         .set(static_cast<double>(R.LazyDecoded));
-    Sum[0] += R.Clean;
-    Sum[1] += R.EdgeObs;
-    Sum[2] += R.PppInstr;
-    SumCold[0] += R.ColdLazyUs;
-    SumCold[1] += R.ColdEagerUs;
   }
-  size_t N = Rows.empty() ? 1 : Rows.size();
-  obs::gauge("throughput.average.clean_mips").set(Sum[0] / N);
-  obs::gauge("throughput.average.edge_obs_mips").set(Sum[1] / N);
-  obs::gauge("throughput.average.ppp_instr_mips").set(Sum[2] / N);
-  obs::gauge("throughput.average.cold_start_lazy_us").set(SumCold[0] / N);
-  obs::gauge("throughput.average.cold_start_eager_us").set(SumCold[1] / N);
-  obs::gauge("throughput.suite_prepare.benchmarks").set(Prep.Benchmarks);
-  obs::gauge("throughput.suite_prepare.cold_sec").set(Prep.ColdSec);
-  obs::gauge("throughput.suite_prepare.warm_sec").set(Prep.WarmSec);
-  obs::gauge("throughput.suite_prepare.speedup")
-      .set(Prep.WarmSec > 0 ? Prep.ColdSec / Prep.WarmSec : 0);
-
-  std::string Error;
-  if (!obs::writeMetricsJson(Path, "throughput.", &Error)) {
-    fprintf(stderr, "error: %s\n", Error.c_str());
-    exit(1);
-  }
+  for (int C = 0; C < NumColumns; ++C)
+    publish(std::string("throughput.average.") + ColumnKeys[C],
+            meanOf(Avg[C]));
 }
 
 } // namespace
 
 int main(int argc, char **argv) {
-  bool Json = false;
   std::string JsonPath = "BENCH_throughput.json";
-  for (int I = 1; I < argc; ++I) {
-    if (std::strcmp(argv[I], "--json") == 0) {
-      Json = true;
-    } else if (std::strncmp(argv[I], "--json=", 7) == 0) {
-      Json = true;
-      JsonPath = argv[I] + 7;
-    } else {
-      fprintf(stderr, "usage: interp_throughput [--json[=PATH]]\n");
-      return 2;
-    }
-  }
+  bool Json = jsonFlag(argc, argv, JsonPath);
 
-  unsigned Reps = repsFromEnv();
-  printf("Interpreter throughput (million interpreted instructions per "
-         "second, %u reps per variant)\n\n",
+  printf("Interpreter throughput on the prepared module (million clean "
+         "instructions per wall second, median of %u blocked reps; "
+         "ratios = wall time over clean)\n\n",
          Reps);
-  printf("%-10s%12s%12s%12s%14s%12s%12s%12s\n", "bench", "clean",
-         "edge-obs", "ppp-instr", "dyn-instrs", "cold-lazy", "cold-eager",
-         "decoded");
+  printf("%-10s%10s%10s%10s%9s%9s%9s%12s%11s%11s%10s\n", "bench", "clean",
+         "edge-obs", "ppp-instr", "edge-x", "ppp-x", "a/a", "dyn-instrs",
+         "cold-lazy", "cold-eager", "decoded");
 
   std::vector<BenchRow> Rows;
   // Three representative recipes: branchy INT, call-heavy INT, loopy FP.
@@ -234,66 +222,23 @@ int main(int argc, char **argv) {
   for (size_t Pick : {size_t(0), size_t(4), size_t(12)}) {
     if (Pick >= Suite.size())
       continue;
-    const BenchmarkSpec &Spec = Suite[Pick];
-    Module M = buildCalibrated(Spec);
-
-    Interpreter Clean(M);
-    Measurement MClean = measure(Reps, [&] { return Clean.run(); });
-
-    Measurement MEdge = measure(Reps, [&] {
-      EdgeProfiler Obs(M);
-      Interpreter I(M);
-      I.addObserver(&Obs);
-      return I.run();
-    });
-
-    PreparedBenchmark B = prepare(Spec);
-    InstrumentationResult IR =
-        instrumentModule(B.Expanded, B.EP, ProfilerOptions::ppp());
-    Interpreter Instr(IR.Instrumented);
-    ProfileRuntime RT = IR.makeRuntime();
-    Instr.setProfileRuntime(&RT);
-    Measurement MInstr = measure(Reps, [&] {
-      RT.clearCounts();
-      return Instr.run();
-    });
-
-    BenchRow Row;
-    Row.Name = Spec.Name;
-    Row.Clean = MClean.MInstrsPerSec;
-    Row.EdgeObs = MEdge.MInstrsPerSec;
-    Row.PppInstr = MInstr.MInstrsPerSec;
-    Row.DynInstrs = MClean.DynInstrs;
-    measureColdStart(B.Expanded, Reps, Row);
-
-    printf("%-10s%12.2f%12.2f%12.2f%14llu%12.1f%12.1f%10llu/%llu\n",
-           Spec.Name.c_str(), MClean.MInstrsPerSec, MEdge.MInstrsPerSec,
-           MInstr.MInstrsPerSec,
-           static_cast<unsigned long long>(MClean.DynInstrs), Row.ColdLazyUs,
-           Row.ColdEagerUs, static_cast<unsigned long long>(Row.LazyDecoded),
-           static_cast<unsigned long long>(Row.TotalFns));
-    Rows.push_back(Row);
+    BenchRow R = measureBenchmark(Suite[Pick]);
+    printf("%-10s%10.2f%10.2f%10.2f%9.3f%9.3f%9.3f%12llu%11.1f%11.1f"
+           "%7llu/%llu\n",
+           R.Name.c_str(), R.Col[CleanMips].Median,
+           R.Col[EdgeObsMips].Median, R.Col[PppInstrMips].Median,
+           R.Col[EdgeObsRatio].Median, R.Col[PppInstrRatio].Median,
+           R.Col[AaRatio].Median, static_cast<unsigned long long>(R.DynInstrs),
+           R.Col[ColdLazyUs].Median, R.Col[ColdEagerUs].Median,
+           static_cast<unsigned long long>(R.LazyDecoded),
+           static_cast<unsigned long long>(R.TotalFns));
+    Rows.push_back(std::move(R));
   }
-  if (!Rows.empty()) {
-    double Sum[3] = {0, 0, 0};
-    for (const BenchRow &R : Rows) {
-      Sum[0] += R.Clean;
-      Sum[1] += R.EdgeObs;
-      Sum[2] += R.PppInstr;
-    }
-    size_t N = Rows.size();
-    printf("\n%-10s%12.2f%12.2f%12.2f\n", "average", Sum[0] / N, Sum[1] / N,
-           Sum[2] / N);
-  }
+  publishRows(Rows);
 
   if (Json) {
-    SuitePrepTiming Prep = measureSuitePrepare();
-    printf("\nSuite preparation (steps 1-4, all %u benchmarks): cold "
-           "%.2fs, warm %.2fs (%.1fx)\n",
-           Prep.Benchmarks, Prep.ColdSec, Prep.WarmSec,
-           Prep.WarmSec > 0 ? Prep.ColdSec / Prep.WarmSec : 0);
-    writeJson(JsonPath, Reps, Rows, Prep);
-    printf("wrote %s\n", JsonPath.c_str());
+    measureSuitePrepare();
+    writeReport(JsonPath, "throughput.");
   }
   return 0;
 }

@@ -4,6 +4,7 @@
 
 add_library(ppp_bench_harness STATIC
   ${CMAKE_SOURCE_DIR}/bench/Harness.cpp
+  ${CMAKE_SOURCE_DIR}/bench/Measure.cpp
   ${CMAKE_SOURCE_DIR}/bench/PrepCache.cpp)
 target_include_directories(ppp_bench_harness PUBLIC ${CMAKE_SOURCE_DIR}/bench)
 target_link_libraries(ppp_bench_harness PUBLIC

@@ -25,14 +25,16 @@
 /// agree and both controllers should behave the same.
 ///
 /// For each subject: a timed trace of the clean module decodes into a
-/// PathTimingProfile; then two AdaptiveSessions run rep-for-rep
-/// interleaved -- HotnessSource::Count vs. HotnessSource::PathTime fed
-/// that profile. Reported per pipeline:
+/// PathTimingProfile; then two AdaptiveSessions run beside the clean
+/// module in bench/Measure.h's blocked order (16 warm-up runs, then 8
+/// blocked reps of a lead run plus a timed run each) --
+/// HotnessSource::Count vs. HotnessSource::PathTime fed that profile.
+/// Reported per pipeline:
 ///
 ///  - the first specialized function and how much of the run's
 ///    attributed cost it covers (the pick-quality demonstration);
-///  - steady-state modeled cost (sum of RunResult::Cost over the last
-///    half of the reps): *deterministic*, so the no-worse acceptance
+///  - steady-state modeled cost (sum of RunResult::Cost over the 16 runs
+///    after the warm-up): *deterministic*, so the no-worse acceptance
 ///    check is exact rather than wall-clock-noisy;
 ///  - wall-clock effective MIPS (clean DynInstrs / wall sec), the same
 ///    informational unit as bench/adaptive_steadystate.
@@ -44,10 +46,11 @@
 /// count-based one's there.
 ///
 /// `--json[=PATH]` writes `timing.` metrics (BENCH_timing.json) in the
-/// "ppp-metrics-v1" schema for tools/bench_diff.py --gate timing;
-/// PPP_TIMING_REPS overrides the repetition count.
+/// "ppp-metrics-v1" schema for tools/bench_diff.py --gate timing.
 ///
 //===----------------------------------------------------------------------===//
+
+#include "Measure.h"
 
 #include "adapt/AdaptiveSession.h"
 #include "ir/IRBuilder.h"
@@ -58,30 +61,20 @@
 #include "trace/TraceRecorder.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
 using namespace ppp;
 using namespace ppp::adapt;
+using namespace ppp::bench;
 
 namespace {
 
-unsigned repsFromEnv() {
-  if (const char *E = std::getenv("PPP_TIMING_REPS"))
-    if (long V = std::strtol(E, nullptr, 10); V > 0)
-      return static_cast<unsigned>(V);
-  return 32;
-}
-
-using Clock = std::chrono::steady_clock;
-
-double secsSince(Clock::time_point Begin) {
-  return std::chrono::duration<double>(Clock::now() - Begin).count();
-}
+/// 16 warm-up runs, then 8 blocked reps (a lead run plus a timed run
+/// each): every pipeline runs 32 times, the last 16 steady.
+constexpr unsigned Warmup = 16, Reps = 8;
 
 /// Large static size, short cheap paths: a small diamond into a 12-arm
 /// switch, arms straight-line unit-cost ops. The leading diamond keeps
@@ -291,17 +284,6 @@ trace::PathTimingProfile profileTiming(const Subject &S,
     exit(1);
   }
   Timing.finishPhases();
-  if (std::getenv("PPP_TIMING_DEBUG")) {
-    fprintf(stderr, "DBG %s total=%llu attr=%llu unattr=%llu\n",
-            S.Name.c_str(), (unsigned long long)Timing.totalCost(),
-            (unsigned long long)Timing.attributedCost(),
-            (unsigned long long)Timing.unattributedCost());
-    for (const auto &KV : Timing.functions())
-      fprintf(stderr, "DBG   func %d (%s): count=%llu total=%llu\n", KV.first,
-              S.M.function(KV.first).Name.c_str(),
-              (unsigned long long)KV.second.Count,
-              (unsigned long long)KV.second.TotalCost);
-  }
   if (Timing.attributedCost() + Timing.unattributedCost() !=
       Timing.totalCost()) {
     fprintf(stderr, "error: %s: cost conservation violated\n",
@@ -314,16 +296,16 @@ trace::PathTimingProfile profileTiming(const Subject &S,
 struct PipeResult {
   FuncId FirstPick = -1;
   double FirstCover = 0;     ///< Attributed-cost share of the first pick.
-  uint64_t SteadyCost = 0;   ///< Modeled cost, last half of the reps.
+  uint64_t SteadyCost = 0;   ///< Modeled cost, runs after the warm-up.
   uint64_t TotalCost = 0;    ///< Modeled cost, every rep.
-  double WallMips = 0;
+  Spread WallMips, WallRatio; ///< WallRatio: wall time over clean.
   uint64_t Installed = 0, Reverted = 0;
 };
 
 struct SubjectRow {
   std::string Name;
   bool Skewed = false;
-  double CleanMips = 0;
+  Spread CleanMips;
   PipeResult Count, Time;
   size_t Windows = 0, Boundaries = 0;
 
@@ -341,6 +323,18 @@ struct SubjectRow {
 struct Pipeline {
   std::unique_ptr<AdaptiveSession> Sess;
   PipeResult Res;
+  unsigned Runs = 0;
+
+  /// One rep: must stay bit-identical to clean; reps after the warm-up
+  /// count toward the steady-state cost.
+  void run(const Subject &S, const RunResult &Ref) {
+    RunResult Got = Sess->run();
+    dieIfDiffers("adaptive", S, Ref, Got);
+    Res.TotalCost += Got.Cost;
+    if (++Runs > Warmup)
+      Res.SteadyCost += Got.Cost;
+    notePicks();
+  }
 
   /// Records the controller's first-ever install. Scanning the version
   /// table would miss it: a pick whose eval window straddles a phase
@@ -353,11 +347,10 @@ struct Pipeline {
   }
 };
 
-SubjectRow measureSubject(const Subject &S, unsigned Reps) {
+SubjectRow measureSubject(const Subject &S) {
   SubjectRow Row;
   Row.Name = S.Name;
   InterpOptions IO;
-  unsigned Steady = Reps / 2;
 
   Interpreter Clean(S.M, IO);
   RunResult Ref = Clean.run();
@@ -365,14 +358,6 @@ SubjectRow measureSubject(const Subject &S, unsigned Reps) {
     fprintf(stderr, "error: %s: clean run exhausted fuel\n", S.Name.c_str());
     exit(1);
   }
-  for (unsigned R = 1; R < Reps - Steady; ++R)
-    Clean.run();
-  Clock::time_point T0 = Clock::now();
-  for (unsigned R = 0; R < Steady; ++R)
-    Clean.run();
-  double CleanSec = secsSince(T0);
-  double Work = static_cast<double>(Ref.DynInstrs) * Steady;
-  Row.CleanMips = CleanSec > 0 ? Work / CleanSec / 1e6 : 0;
 
   EdgeProfile Advice = AdaptiveSession::collectAdvice(S.M, IO);
   trace::PathTimingProfile Timing = profileTiming(S, Advice);
@@ -398,35 +383,20 @@ SubjectRow measureSubject(const Subject &S, unsigned Reps) {
     Pipes[P].Sess = AdaptiveSession::create(S.M, Advice, IO, AO);
   }
 
-  // Warm-up: run rep-for-rep interleaved, tracking modeled cost and
-  // first picks. Every rep must stay bit-identical to clean.
-  for (unsigned R = 0; R < Reps - Steady; ++R) {
-    for (Pipeline &P : Pipes) {
-      RunResult Got = P.Sess->run();
-      dieIfDiffers("adaptive", S, Ref, Got);
-      P.Res.TotalCost += Got.Cost;
-      P.notePicks();
-    }
-  }
-  // Steady state: wall-timed, still interleaved so clock drift lands on
-  // both pipelines equally.
-  double Secs[2] = {0, 0};
-  for (unsigned R = 0; R < Steady; ++R) {
-    for (int P = 0; P < 2; ++P) {
-      T0 = Clock::now();
-      RunResult Got = Pipes[P].Sess->run();
-      Secs[P] += secsSince(T0);
-      dieIfDiffers("adaptive", S, Ref, Got);
-      Pipes[P].Res.TotalCost += Got.Cost;
-      Pipes[P].Res.SteadyCost += Got.Cost;
-      Pipes[P].notePicks();
-    }
+  Samples Secs =
+      measure({[&] { dieIfDiffers("clean", S, Ref, Clean.run()); },
+               [&] { Pipes[0].run(S, Ref); }, [&] { Pipes[1].run(S, Ref); }},
+              Warmup, Reps);
+  double MInstrs = static_cast<double>(Ref.DynInstrs) / 1e6;
+  Row.CleanMips = Secs.rate(0, MInstrs);
+  for (int P = 0; P < 2; ++P) {
+    Pipes[P].Res.WallMips = Secs.rate(P + 1, MInstrs);
+    Pipes[P].Res.WallRatio = Secs.ratio(P + 1);
   }
 
   uint64_t Attributed = Timing.attributedCost();
   for (int P = 0; P < 2; ++P) {
     PipeResult &R = Pipes[P].Res;
-    R.WallMips = Secs[P] > 0 ? Work / Secs[P] / 1e6 : 0;
     const AdaptStats &St = Pipes[P].Sess->controller().stats();
     R.Installed = St.VersionsInstalled;
     R.Reverted = St.VersionsReverted;
@@ -447,17 +417,18 @@ const char *pickName(const Subject &S, FuncId F) {
   return F >= 0 ? S.M.function(F).Name.c_str() : "-";
 }
 
-void writeJson(const std::string &Path, unsigned Reps,
-               const std::vector<SubjectRow> &Rows) {
-  obs::gauge("timing.bench.reps").set(Reps);
+void publishRows(const std::vector<SubjectRow> &Rows) {
+  obs::gauge("timing.bench.reps").set(Warmup + 2 * Reps);
   double WorstSteadyRatio = 10.0;
   double SkewedTransientGain = 0, SkewedCoverGain = 0;
   double PicksDiffer = 0;
   for (const SubjectRow &R : Rows) {
     std::string K = "timing.bench." + R.Name;
-    obs::gauge(K + ".clean_mips").set(R.CleanMips);
-    obs::gauge(K + ".count_mips").set(R.Count.WallMips);
-    obs::gauge(K + ".time_mips").set(R.Time.WallMips);
+    publish(K + ".clean_mips", R.CleanMips);
+    publish(K + ".count_mips", R.Count.WallMips);
+    publish(K + ".time_mips", R.Time.WallMips);
+    publish(K + ".count_ratio", R.Count.WallRatio);
+    publish(K + ".time_ratio", R.Time.WallRatio);
     obs::gauge(K + ".count_steady_cost")
         .set(static_cast<double>(R.Count.SteadyCost));
     obs::gauge(K + ".time_steady_cost")
@@ -493,36 +464,18 @@ void writeJson(const std::string &Path, unsigned Reps,
   obs::gauge("timing.accept.skewed_transient_gain")
       .set(SkewedTransientGain);
   obs::gauge("timing.accept.skewed_cover_gain").set(SkewedCoverGain);
-
-  std::string Error;
-  if (!obs::writeMetricsJson(Path, "timing.", &Error)) {
-    fprintf(stderr, "error: %s\n", Error.c_str());
-    exit(1);
-  }
 }
 
 } // namespace
 
 int main(int argc, char **argv) {
-  bool Json = false;
   std::string JsonPath = "BENCH_timing.json";
-  for (int I = 1; I < argc; ++I) {
-    if (std::strcmp(argv[I], "--json") == 0) {
-      Json = true;
-    } else if (std::strncmp(argv[I], "--json=", 7) == 0) {
-      Json = true;
-      JsonPath = argv[I] + 7;
-    } else {
-      fprintf(stderr, "usage: timing_attrib [--json[=PATH]]\n");
-      return 2;
-    }
-  }
+  bool Json = jsonFlag(argc, argv, JsonPath);
 
-  unsigned Reps = repsFromEnv();
-  printf("Time-weighted vs. count-based candidate picks (%u reps, last %u "
-         "steady; modeled cost is deterministic, wall MIPS informational; "
-         "every run checked bit-identical to clean)\n\n",
-         Reps, Reps / 2);
+  printf("Time-weighted vs. count-based candidate picks (%u warm-up runs + "
+         "%u steady blocked reps; modeled cost is deterministic, wall MIPS "
+         "informational; every run checked bit-identical to clean)\n\n",
+         Warmup, Reps);
 
   std::vector<Subject> Subjects;
   // PhaseLen is sized so the controller's first pick epoch (epoch 2:
@@ -539,12 +492,12 @@ int main(int argc, char **argv) {
   std::vector<SubjectRow> Rows;
   for (size_t I = 0; I < Subjects.size(); ++I) {
     const Subject &S = Subjects[I];
-    SubjectRow R = measureSubject(S, Reps);
+    SubjectRow R = measureSubject(S);
     R.Skewed = I == 0;
     std::string Picks = std::string(pickName(S, R.Count.FirstPick)) + "/" +
                         pickName(S, R.Time.FirstPick);
     printf("%-10s%12.2f%12.2f%12.4f%8zu  %-18s%8.3f%8.3f\n",
-           R.Name.c_str(), R.Count.WallMips, R.Time.WallMips,
+           R.Name.c_str(), R.Count.WallMips.Median, R.Time.WallMips.Median,
            R.steadyRatio(), R.Boundaries + 1, Picks.c_str(),
            R.Count.FirstCover, R.Time.FirstCover);
     Rows.push_back(std::move(R));
@@ -572,8 +525,8 @@ int main(int argc, char **argv) {
   }
 
   if (Json) {
-    writeJson(JsonPath, Reps, Rows);
-    printf("\nwrote %s\n", JsonPath.c_str());
+    publishRows(Rows);
+    writeReport(JsonPath, "timing.");
   }
   return 0;
 }

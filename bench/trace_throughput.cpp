@@ -2,32 +2,31 @@
 ///
 /// Wall-clock throughput of the trace-collection backend, the
 /// regression baseline for src/trace: how fast the interpreter runs
-/// while appending branch-target packets (vs the clean loop), how
-/// compact the stream is (bytes per recorded event), and how fast the
-/// offline decoder turns packets back into counters as the worker
-/// count grows (events decoded per second at PPP_JOBS = 1, 2, 4).
-/// Every decode is checked bit-identical against the counter backend
-/// before its timing is reported.
+/// while appending branch-target packets (vs the clean loop, as a
+/// blocked wall-time ratio over the same run), how compact the stream
+/// is (bytes per recorded event), and how fast the offline decoder
+/// turns packets back into counters as the worker count grows (events
+/// decoded per second at PPP_JOBS = 1, 2, 4, and the 2- and 4-job
+/// speedups over 1 job). Both comparisons go through bench/Measure.h.
+/// Each job count's decode is checked bit-identical against the counter
+/// backend before its timing is reported.
 ///
 /// `--json[=PATH]` writes the report to PATH (default BENCH_trace.json)
 /// through the obs metrics registry (`trace.` keys, "ppp-metrics-v1"
-/// schema) so tools/bench_diff.py tracks the trajectory exactly like
-/// BENCH_throughput.json. PPP_THROUGHPUT_REPS overrides the per-variant
-/// repetition count.
+/// schema) for tools/bench_diff.py --gate trace.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "Harness.h"
+#include "Measure.h"
 
 #include "interp/Interpreter.h"
 #include "obs/Obs.h"
 #include "pathprof/Profilers.h"
 #include "trace/TraceDecoder.h"
 
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -36,31 +35,34 @@ using namespace ppp::bench;
 
 namespace {
 
-unsigned repsFromEnv() {
-  if (const char *E = std::getenv("PPP_THROUGHPUT_REPS"))
-    if (long V = std::strtol(E, nullptr, 10); V > 0)
-      return static_cast<unsigned>(V);
-  return 20;
-}
+constexpr unsigned Warmup = 2, Reps = 20;
+constexpr unsigned JobCounts[3] = {1, 2, 4};
 
-using Clock = std::chrono::steady_clock;
-
-double secsSince(Clock::time_point Begin) {
-  return std::chrono::duration<double>(Clock::now() - Begin).count();
-}
+/// Wall-clock columns, in trace.bench.<name>.<key> order.
+enum Column {
+  CleanMips,
+  RecordMips,
+  RecordRatio,
+  DecodeEpsJ1,
+  DecodeEpsJ2,
+  DecodeEpsJ4,
+  DecodeSpeedupJ2,
+  DecodeSpeedupJ4,
+  NumColumns
+};
+constexpr const char *ColumnKeys[NumColumns] = {
+    "clean_mips",    "record_mips",   "record_ratio",
+    "decode_eps_j1", "decode_eps_j2", "decode_eps_j4",
+    "decode_speedup_j2", "decode_speedup_j4"};
 
 struct BenchRow {
   std::string Name;
-  double CleanMips = 0;    ///< Clean interpreter, no recording.
-  double RecordMips = 0;   ///< Same run with packet recording.
+  Spread Col[NumColumns];
   double BytesPerEvent = 0;
-  uint64_t Events = 0;     ///< Cond + switch outcomes per run.
-  uint64_t Bytes = 0;      ///< Packet bytes per run.
+  uint64_t Events = 0; ///< Cond + switch outcomes per run.
+  uint64_t Bytes = 0;  ///< Packet bytes per run.
   uint64_t Chunks = 0;
-  double DecodeEps[3] = {0, 0, 0}; ///< Events/sec at 1, 2, 4 jobs.
 };
-
-constexpr unsigned JobCounts[3] = {1, 2, 4};
 
 /// Decoded counters must match the counter backend bit for bit; the
 /// throughput of a wrong decode is not a number worth tracking.
@@ -83,48 +85,41 @@ void checkIdentical(const PreparedBenchmark &B,
   }
 }
 
-BenchRow measureBenchmark(const BenchmarkSpec &Spec, unsigned Reps) {
+BenchRow measureBenchmark(const BenchmarkSpec &Spec) {
   BenchRow Row;
   Row.Name = Spec.Name;
   PreparedBenchmark B = prepare(Spec);
   InterpOptions IO;
   IO.Costs = B.Costs;
 
-  Interpreter Clean(B.Expanded, IO);
-  uint64_t DynInstrs = 0;
-  Clock::time_point T0 = Clock::now();
-  for (unsigned R = 0; R < Reps; ++R)
-    DynInstrs = Clean.run().DynInstrs;
-  double CleanSec = secsSince(T0);
-  Row.CleanMips = CleanSec > 0
-                      ? static_cast<double>(DynInstrs) * Reps / CleanSec / 1e6
-                      : 0;
-
-  // Record. The recorder is one-shot, so each rep builds a fresh one;
+  // Record. The recorder is one-shot, so each rep attaches a fresh one;
   // the last rep's recording feeds the decode measurements. Chunks are
   // deliberately small: the suite's traces fit a single default 64 KiB
   // chunk, which would leave decodeTraceParallel nothing to fan out
   // over, and chunk capacity only repartitions the identical byte
   // stream (pinned by tracebackend_test), so recording cost and
   // bytes-per-event are unaffected.
+  Interpreter Clean(B.Expanded, IO);
+  uint64_t DynInstrs = Clean.run().DynInstrs;
+  Interpreter Traced(B.Expanded, IO);
   trace::TraceRecording Rec;
   constexpr size_t BenchChunkBytes = 2048;
-  T0 = Clock::now();
-  for (unsigned R = 0; R < Reps; ++R) {
-    Interpreter I(B.Expanded, IO);
-    trace::TraceRecorder TR(BenchChunkBytes);
-    I.setTraceRecorder(&TR);
-    RunResult Res = I.run();
-    if (Res.FuelExhausted) {
-      fprintf(stderr, "error: traced %s hung\n", B.Name.c_str());
-      exit(1);
-    }
-    Rec = TR.takeRecording();
-  }
-  double RecordSec = secsSince(T0);
-  Row.RecordMips =
-      RecordSec > 0 ? static_cast<double>(DynInstrs) * Reps / RecordSec / 1e6
-                    : 0;
+  Samples S = measure({[&] { Clean.run(); },
+                       [&] {
+                         trace::TraceRecorder TR(BenchChunkBytes);
+                         Traced.setTraceRecorder(&TR);
+                         if (Traced.run().FuelExhausted) {
+                           fprintf(stderr, "error: traced %s hung\n",
+                                   B.Name.c_str());
+                           exit(1);
+                         }
+                         Rec = TR.takeRecording();
+                       }},
+                      Warmup, Reps);
+  double MInstrs = static_cast<double>(DynInstrs) / 1e6;
+  Row.Col[CleanMips] = S.rate(0, MInstrs);
+  Row.Col[RecordMips] = S.rate(1, MInstrs);
+  Row.Col[RecordRatio] = S.ratio(1);
   Row.Events = Rec.CondEvents + Rec.SwitchEvents;
   Row.Bytes = Rec.TotalBytes;
   Row.Chunks = Rec.Chunks.size();
@@ -135,94 +130,66 @@ BenchRow measureBenchmark(const BenchmarkSpec &Spec, unsigned Reps) {
   InstrumentationResult IR =
       instrumentModule(B.Expanded, B.EP, ProfilerOptions::trace());
   trace::TraceDecoder Dec(B.Expanded, IR);
-
   const char *OldJobs = std::getenv("PPP_JOBS");
   std::string Saved = OldJobs ? OldJobs : "";
-  for (int J = 0; J < 3; ++J) {
-    setenv("PPP_JOBS", std::to_string(JobCounts[J]).c_str(), 1);
-    ProfileRuntime Decoded = IR.makeRuntime();
-    T0 = Clock::now();
-    for (unsigned R = 0; R < Reps; ++R) {
-      Decoded = IR.makeRuntime();
+  std::vector<ProfileRuntime> Decoded(3, IR.makeRuntime());
+  std::vector<std::function<void()>> Decodes;
+  for (int J = 0; J < 3; ++J)
+    Decodes.push_back([&, J] {
+      setenv("PPP_JOBS", std::to_string(JobCounts[J]).c_str(), 1);
+      Decoded[J] = IR.makeRuntime();
       trace::DecodeStats DS;
       std::string Error;
-      if (!decodeTraceParallel(Dec, Rec, Decoded, DS, Error)) {
+      if (!decodeTraceParallel(Dec, Rec, Decoded[J], DS, Error)) {
         fprintf(stderr, "error: decode of %s failed: %s\n", B.Name.c_str(),
                 Error.c_str());
         exit(1);
       }
-    }
-    double DecodeSec = secsSince(T0);
-    Row.DecodeEps[J] =
-        DecodeSec > 0
-            ? static_cast<double>(Row.Events) * Reps / DecodeSec
-            : 0;
-    checkIdentical(B, IR, Decoded);
-  }
+    });
+  Samples D = measure(Decodes, Warmup, Reps);
   if (OldJobs)
     setenv("PPP_JOBS", Saved.c_str(), 1);
   else
     unsetenv("PPP_JOBS");
+  for (int J = 0; J < 3; ++J) {
+    checkIdentical(B, IR, Decoded[J]);
+    Row.Col[DecodeEpsJ1 + J] = D.rate(J, static_cast<double>(Row.Events));
+  }
+  Row.Col[DecodeSpeedupJ2] = D.ratio(0, 1);
+  Row.Col[DecodeSpeedupJ4] = D.ratio(0, 2);
   return Row;
 }
 
-void writeJson(const std::string &Path, unsigned Reps,
-               const std::vector<BenchRow> &Rows) {
+void publishRows(const std::vector<BenchRow> &Rows) {
   obs::gauge("trace.bench.reps").set(Reps);
-  double Sum[5] = {0, 0, 0, 0, 0};
+  std::vector<Spread> Avg[NumColumns];
   for (const BenchRow &R : Rows) {
-    std::string K = "trace.bench." + R.Name;
-    obs::gauge(K + ".clean_mips").set(R.CleanMips);
-    obs::gauge(K + ".record_mips").set(R.RecordMips);
-    obs::gauge(K + ".bytes_per_event").set(R.BytesPerEvent);
-    obs::gauge(K + ".events").set(static_cast<double>(R.Events));
-    obs::gauge(K + ".chunks").set(static_cast<double>(R.Chunks));
-    obs::gauge(K + ".decode_eps_j1").set(R.DecodeEps[0]);
-    obs::gauge(K + ".decode_eps_j2").set(R.DecodeEps[1]);
-    obs::gauge(K + ".decode_eps_j4").set(R.DecodeEps[2]);
-    Sum[0] += R.CleanMips;
-    Sum[1] += R.RecordMips;
-    Sum[2] += R.DecodeEps[0];
-    Sum[3] += R.DecodeEps[1];
-    Sum[4] += R.DecodeEps[2];
+    std::string K = "trace.bench." + R.Name + ".";
+    for (int C = 0; C < NumColumns; ++C) {
+      publish(K + ColumnKeys[C], R.Col[C]);
+      Avg[C].push_back(R.Col[C]);
+    }
+    obs::gauge(K + "bytes_per_event").set(R.BytesPerEvent);
+    obs::gauge(K + "events").set(static_cast<double>(R.Events));
+    obs::gauge(K + "chunks").set(static_cast<double>(R.Chunks));
   }
-  size_t N = Rows.empty() ? 1 : Rows.size();
-  obs::gauge("trace.average.clean_mips").set(Sum[0] / N);
-  obs::gauge("trace.average.record_mips").set(Sum[1] / N);
-  obs::gauge("trace.average.decode_eps_j1").set(Sum[2] / N);
-  obs::gauge("trace.average.decode_eps_j2").set(Sum[3] / N);
-  obs::gauge("trace.average.decode_eps_j4").set(Sum[4] / N);
-
-  std::string Error;
-  if (!obs::writeMetricsJson(Path, "trace.", &Error)) {
-    fprintf(stderr, "error: %s\n", Error.c_str());
-    exit(1);
-  }
+  for (int C = 0; C < NumColumns; ++C)
+    publish(std::string("trace.average.") + ColumnKeys[C], meanOf(Avg[C]));
 }
 
 } // namespace
 
 int main(int argc, char **argv) {
-  bool Json = false;
   std::string JsonPath = "BENCH_trace.json";
-  for (int I = 1; I < argc; ++I) {
-    if (std::strcmp(argv[I], "--json") == 0) {
-      Json = true;
-    } else if (std::strncmp(argv[I], "--json=", 7) == 0) {
-      Json = true;
-      JsonPath = argv[I] + 7;
-    } else {
-      fprintf(stderr, "usage: trace_throughput [--json[=PATH]]\n");
-      return 2;
-    }
-  }
+  bool Json = jsonFlag(argc, argv, JsonPath);
 
-  unsigned Reps = repsFromEnv();
-  printf("Trace backend throughput (%u reps per variant; decode checked "
-         "against the counter backend)\n\n",
+  printf("Trace backend throughput (median of %u blocked reps; MIPS = "
+         "clean instructions per wall second; decode checked against the "
+         "counter backend)\n\n",
          Reps);
-  printf("%-10s%12s%12s%10s%12s%12s%12s\n", "bench", "clean-mips",
-         "rec-mips", "B/event", "dec-eps-j1", "dec-eps-j2", "dec-eps-j4");
+  printf("%-10s%11s%10s%8s%9s%12s%12s%12s%8s%8s\n", "bench", "clean-mips",
+         "rec-mips", "rec-x", "B/event", "dec-eps-j1", "dec-eps-j2",
+         "dec-eps-j4", "j2-x", "j4-x");
 
   std::vector<BenchRow> Rows;
   // Same representative picks as interp_throughput: branchy INT,
@@ -231,16 +198,18 @@ int main(int argc, char **argv) {
   for (size_t Pick : {size_t(0), size_t(4), size_t(12)}) {
     if (Pick >= Suite.size())
       continue;
-    BenchRow R = measureBenchmark(Suite[Pick], Reps);
-    printf("%-10s%12.2f%12.2f%10.3f%12.3g%12.3g%12.3g\n", R.Name.c_str(),
-           R.CleanMips, R.RecordMips, R.BytesPerEvent, R.DecodeEps[0],
-           R.DecodeEps[1], R.DecodeEps[2]);
+    BenchRow R = measureBenchmark(Suite[Pick]);
+    printf("%-10s%11.2f%10.2f%8.3f%9.3f%12.3g%12.3g%12.3g%8.2f%8.2f\n",
+           R.Name.c_str(), R.Col[CleanMips].Median, R.Col[RecordMips].Median,
+           R.Col[RecordRatio].Median, R.BytesPerEvent,
+           R.Col[DecodeEpsJ1].Median, R.Col[DecodeEpsJ2].Median,
+           R.Col[DecodeEpsJ4].Median, R.Col[DecodeSpeedupJ2].Median,
+           R.Col[DecodeSpeedupJ4].Median);
     Rows.push_back(std::move(R));
   }
+  publishRows(Rows);
 
-  if (Json) {
-    writeJson(JsonPath, Reps, Rows);
-    printf("\nwrote %s\n", JsonPath.c_str());
-  }
+  if (Json)
+    writeReport(JsonPath, "trace.");
   return 0;
 }

@@ -6,12 +6,15 @@ Usage:
   tools/bench_diff.py OLD.json NEW.json
       Print every key whose value changed, with relative deltas. Exit 0.
 
-  tools/bench_diff.py --keys k1,k2,... [--threshold PCT] OLD.json NEW.json
-      Check only the named keys and exit 1 if any changed by more than
-      PCT percent (default 10) in either direction. A key ending in '*'
-      matches every key with that prefix. Direction-agnostic on purpose:
-      throughput keys regress downward, latency keys upward, and a big
-      move either way on a watched key deserves a look.
+  tools/bench_diff.py --keys k1,k2,... OLD.json NEW.json
+      Check only the named keys (globs: '*' matches any run of
+      characters) and exit 1 if any moved, in either direction (a big
+      move either way on a watched key deserves a look): by more than a
+      10% floor and -- when both files carry the key's spread, as the
+      <key>.iqr and <key>.n (sample count) that bench/Measure.h
+      publishes beside every wall-clock median -- by more than 3x the
+      larger IQR/sqrt(n), the spread of the median rather than of one
+      sample. The .iqr and .n keys themselves are never gated.
 
       Keys present in only one snapshot are reported as new/gone but do
       not fail the gate: growing a benchmark (a new serve.bench.* gauge,
@@ -21,10 +24,9 @@ Usage:
 
   tools/bench_diff.py --gate NAME OLD.json NEW.json
       Shorthand for the committed trajectory files: NAME picks the key
-      patterns and threshold for one of the tracked BENCH_*.json
-      baselines (throughput, served, trace, adapt, timing, kiter).
-      --keys / --threshold still
-      override the preset's pieces individually.
+      patterns for one of the tracked BENCH_*.json baselines
+      (throughput, served, trace, adapt, timing, kiter); --keys
+      overrides them.
 
   tools/bench_diff.py --self-test
       Run the built-in unit checks against generated fixtures; exit 0
@@ -35,26 +37,32 @@ dependencies; stdlib json only.
 """
 
 import argparse
+import fnmatch
 import json
+import math
 import os
 import sys
 import tempfile
 
-# Named gate presets, one per committed BENCH_*.json trajectory file:
-# (key patterns, threshold %). Thresholds are looser where the
-# benchmark measures wall-clock on shared hardware (served ingest,
-# trace decode) and tighter for the pure-throughput averages.
+# Gated key patterns, one per committed BENCH_*.json file.
 GATES = {
-    "throughput": ("throughput.average.*", 10.0),
-    "served": ("serve.bench.*", 25.0),
-    "trace": ("trace.average.*,trace.bench.*", 25.0),
-    "adapt": ("adapt.average.*,adapt.bench.*", 25.0),
-    "timing": ("timing.accept.*,timing.bench.*", 25.0),
+    "throughput": "throughput.average.*",
+    "served": "serve.bench.*",
+    "trace": "trace.average.*,trace.bench.*",
+    "adapt": "adapt.average.*,adapt.bench.*",
+    "timing": "timing.accept.*,timing.bench.*",
     # kiter.k<k>.<profiler>.* are the suite-wide aggregates per chain
     # depth (paths enumerated, lost fraction, overhead, demotions);
     # per-benchmark kiter.bench.* keys ride along informationally.
-    "kiter": ("kiter.k*", 25.0),
+    "kiter": "kiter.k*",
 }
+
+# The one gating rule: a key fails only past the floor, and past
+# IQR_MULT times the larger spread of the median, IQR / sqrt(n), when
+# both files carry one.
+FLOOR_PCT = 10.0
+IQR_MULT = 3.0
+SPREAD_SUFFIXES = (".iqr", ".n")
 
 
 def flatten(path):
@@ -88,16 +96,39 @@ def fmt_change(pct):
 def select(flat_keys, patterns, out=sys.stderr):
     chosen = set()
     for pat in patterns:
-        if pat.endswith("*"):
-            hits = {k for k in flat_keys if k.startswith(pat[:-1])}
-        else:
-            hits = {pat} if pat in flat_keys else set()
+        hits = {k for k in flat_keys if fnmatch.fnmatchcase(k, pat)}
         if not hits:
             print(f"note: key '{pat}' matches nothing in either file; "
                   f"skipped", file=out)
             continue
         chosen |= hits
     return sorted(chosen)
+
+
+def moved(key, old, new):
+    """Why `key` fails the gate rule, or None when it holds."""
+    pct = rel_change(old[key], new[key])
+    if abs(pct) <= FLOOR_PCT:
+        return None
+    spread = [f[key + ".iqr"] / math.sqrt(f[key + ".n"])
+              for f in (old, new)
+              if key + ".iqr" in f and f.get(key + ".n", 0) > 0]
+    if len(spread) < 2:
+        return fmt_change(pct)
+    tolerance = IQR_MULT * max(spread)
+    if abs(new[key] - old[key]) <= tolerance:
+        return None
+    return (f"{fmt_change(pct)}, beyond {IQR_MULT:g}x IQR/sqrt(n) "
+            f"({tolerance:g})")
+
+
+def row(k, old, new, width, tag=""):
+    """One report line; a key missing on one side shows as new/gone."""
+    o = f"{old[k]:>14g}" if k in old else f"{'-':>14}"
+    n = f"{new[k]:>14g}" if k in new else f"{'-':>14}"
+    change = ("new" if k not in old else "gone" if k not in new
+              else fmt_change(rel_change(old[k], new[k])))
+    return f"{k:<{width}}  {o}  {n}  {change:>8}{tag}"
 
 
 def run(args, out=sys.stdout, err=sys.stderr):
@@ -107,58 +138,41 @@ def run(args, out=sys.stdout, err=sys.stderr):
 
     if args.keys:
         patterns = [k.strip() for k in args.keys.split(",") if k.strip()]
-        keys = select(set(old) | set(new), patterns, out=err)
+        keys = [k for k in select(set(old) | set(new), patterns, out=err)
+                if not k.endswith(SPREAD_SUFFIXES)]
         failed = []
         checked = 0
         for k in keys:
             # One-sided keys are informational, never gate failures.
-            if k not in old:
-                print(f"{k:<{width}}  {'-':>14}  {new[k]:>14g}  {'new':>8}",
-                      file=out)
-                continue
-            if k not in new:
-                print(f"{k:<{width}}  {old[k]:>14g}  {'-':>14}  {'gone':>8}",
-                      file=out)
-                continue
-            checked += 1
-            pct = rel_change(old[k], new[k])
-            tag = ""
-            if abs(pct) > args.threshold:
-                failed.append((k, fmt_change(pct)))
-                tag = "  FLAGGED"
-            print(f"{k:<{width}}  {old[k]:>14g}  {new[k]:>14g}  "
-                  f"{fmt_change(pct):>8}{tag}", file=out)
+            why = None
+            if k in old and k in new:
+                checked += 1
+                why = moved(k, old, new)
+            if why:
+                failed.append((k, why))
+            print(row(k, old, new, width, "  FLAGGED" if why else ""),
+                  file=out)
         if failed:
             print(f"\n{len(failed)} of {checked} compared key(s) moved "
-                  f"more than {args.threshold:g}% "
+                  f"more than {FLOOR_PCT:g}% and {IQR_MULT:g}x IQR/sqrt(n) "
                   f"({checked - len(failed)} within tolerance):", file=err)
             for k, why in failed:
                 print(f"  {k}: {why}", file=err)
             return 1
-        print(f"\nok: {checked} comparable key(s) within "
-              f"{args.threshold:g}%", file=out)
+        print(f"\nok: {checked} comparable key(s) within {FLOOR_PCT:g}% "
+              f"or {IQR_MULT:g}x IQR/sqrt(n)", file=out)
         return 0
 
-    changed = 0
-    for k in sorted(set(old) | set(new)):
-        if k not in old:
-            print(f"{k:<{width}}  {'-':>14}  {new[k]:>14g}  {'new':>8}",
-                  file=out)
-            changed += 1
-        elif k not in new:
-            print(f"{k:<{width}}  {old[k]:>14g}  {'-':>14}  {'gone':>8}",
-                  file=out)
-            changed += 1
-        elif old[k] != new[k]:
-            print(f"{k:<{width}}  {old[k]:>14g}  {new[k]:>14g}  "
-                  f"{fmt_change(rel_change(old[k], new[k])):>8}", file=out)
-            changed += 1
-    print(f"\n{changed} key(s) changed", file=out)
+    changed = [k for k in sorted(set(old) | set(new))
+               if old.get(k) != new.get(k)]
+    for k in changed:
+        print(row(k, old, new, width), file=out)
+    print(f"\n{len(changed)} key(s) changed", file=out)
     return 0
 
 
 def self_test():
-    """Unit checks over generated fixtures: gating, tolerance of
+    """Unit checks over generated fixtures: the gate rule, tolerance of
     one-sided keys, empty patterns, and histogram flattening."""
     import io
 
@@ -174,18 +188,14 @@ def self_test():
             json.dump(doc, f)
         return path
 
-    def gate(old_doc, new_doc, keys, threshold=10.0):
+    def gate(old_doc, new_doc, keys):
         with tempfile.TemporaryDirectory() as d:
             ns = argparse.Namespace(old=write(old_doc, d, "old.json"),
                                     new=write(new_doc, d, "new.json"),
-                                    keys=keys, threshold=threshold)
+                                    keys=keys)
             out, err = io.StringIO(), io.StringIO()
             rc = run(ns, out=out, err=err)
             return rc, out.getvalue(), err.getvalue()
-
-    def gate_named(old_doc, new_doc, name):
-        keys, threshold = GATES[name]
-        return gate(old_doc, new_doc, keys, threshold=threshold)
 
     base = metrics(gauges={"serve.bench.shards1.merges_per_sec": 1000.0,
                            "serve.bench.shards8.merges_per_sec": 4000.0},
@@ -197,20 +207,65 @@ def self_test():
     def check(name, cond):
         checks.append((name, cond))
 
-    # 1. Identical snapshots pass the gate.
+    # 1. Identical snapshots pass; a move inside the floor passes.
     rc, out, _ = gate(base, base, "serve.*")
     check("identical snapshots pass", rc == 0 and "ok:" in out)
-
-    # 2. A small move passes, a big move fails.
     drift = metrics(gauges={"serve.bench.shards1.merges_per_sec": 1050.0,
                             "serve.bench.shards8.merges_per_sec": 4100.0},
                     counters={"serve.merge.entries": 500},
                     histograms={"serve.query.ns": {"count": 9, "sum": 900}})
     rc, _, _ = gate(base, drift, "serve.*")
-    check("small drift passes", rc == 0)
-    rc, _, err = gate(base, drift, "serve.*", threshold=1.0)
-    check("drift beyond threshold fails", rc == 1 and "FLAGGED" not in err
-          and "moved more than" in err)
+    check("drift inside the floor passes", rc == 0)
+
+    # 2. The gate rule on a median carrying its spread: a 20% move
+    #    passes when 3x the larger IQR/sqrt(n) covers it, fails when it
+    #    does not, and falls back to the floor when either file lacks
+    #    the spread.
+    def spread(key, median, iqr=None, n=None):
+        out = {key: median}
+        if iqr is not None:
+            out[key + ".iqr"] = iqr
+        if n is not None:
+            out[key + ".n"] = n
+        return out
+
+    def mips(value, old_iqr=None, new_iqr=None, n=4):
+        key = "throughput.average.clean_mips"
+        return gate(metrics(gauges=spread(key, 300.0, old_iqr,
+                                          n if old_iqr else None)),
+                    metrics(gauges=spread(key, value, new_iqr,
+                                          n if new_iqr else None)),
+                    "throughput.average.*")
+
+    rc, _, _ = mips(360.0, old_iqr=15.0, new_iqr=50.0)
+    check("move inside 3x IQR/sqrt(n) passes", rc == 0)
+    rc, _, err = mips(360.0, old_iqr=15.0, new_iqr=5.0)
+    check("move past floor and 3x IQR/sqrt(n) fails",
+          rc == 1 and "beyond 3x IQR/sqrt(n)" in err)
+    rc, _, err = mips(360.0)
+    check("key without IQR fails past the floor",
+          rc == 1 and "moved more than" in err)
+    rc, _, _ = mips(320.0)
+    check("key without IQR passes inside the floor", rc == 0)
+    rc, _, err = mips(360.0, old_iqr=100.0)
+    check("IQR in one file only falls back to the floor",
+          rc == 1 and "beyond" not in err)
+    rc, out, _ = mips(301.0, old_iqr=15.0, new_iqr=45.0)
+    check("IQR and n keys are never gated themselves",
+          rc == 0 and "ok: 1 comparable" in out)
+    # A per-sample IQR excuses little once many samples back the
+    # median: PPP's overhead ratio doubling fails, and so does its
+    # overhead growing tenfold (1.03 -> 1.30, the paper's PP level),
+    # which 3x the per-sample IQR would have covered.
+    ratio = "throughput.average.ppp_instr_ratio"
+    for name, new_median, new_iqr in (("2x ratio move", 2.06, 0.18),
+                                      ("tenfold overhead", 1.30, 0.092)):
+        rc, _, err = gate(metrics(gauges=spread(ratio, 1.03, 0.092, 40)),
+                          metrics(gauges=spread(ratio, new_median, new_iqr,
+                                                40)),
+                          "throughput.average.*")
+        check(f"{name} with typical per-sample IQR fails",
+              rc == 1 and ratio + ":" in err)
 
     # 3. Keys present in only one snapshot are tolerated (new gauge
     #    appears, old one retired) -- reported but rc 0.
@@ -229,110 +284,99 @@ def self_test():
 
     # 5. Histogram flattening gates on .count/.sum.
     hist = metrics(histograms={"serve.query.ns": {"count": 90, "sum": 900}})
-    rc, _, _ = gate(base, hist, "serve.query.ns.count", threshold=5.0)
+    rc, _, _ = gate(base, hist, "serve.query.ns.count")
     check("histogram count gates", rc == 1)
 
-    # 6. The named trace gate over BENCH_trace.json-shaped fixtures:
-    #    steady numbers pass, a decode-throughput collapse fails, and a
-    #    benchmark added to the suite (new trace.bench.* keys) does not
-    #    break the older baseline.
-    trace_base = metrics(
-        gauges={"trace.bench.mcf.record_mips": 120.0,
-                "trace.bench.mcf.bytes_per_event": 0.18,
-                "trace.bench.mcf.decode_eps_j4": 6.0e7,
-                "trace.average.decode_eps_j4": 6.0e7})
-    rc, out, _ = gate_named(trace_base, trace_base, "trace")
-    check("trace gate: steady run passes", rc == 0 and "ok:" in out)
-    collapsed = metrics(
-        gauges={"trace.bench.mcf.record_mips": 120.0,
-                "trace.bench.mcf.bytes_per_event": 0.18,
-                "trace.bench.mcf.decode_eps_j4": 2.0e7,
-                "trace.average.decode_eps_j4": 2.0e7})
-    rc, _, err = gate_named(trace_base, collapsed, "trace")
-    check("trace gate: decode collapse fails",
-          rc == 1 and "moved more than" in err)
-    grown_trace = dict(trace_base)
-    grown_trace["gauges"] = dict(trace_base["gauges"],
-                                 **{"trace.bench.vpr.record_mips": 90.0})
-    rc, out, _ = gate_named(trace_base, grown_trace, "trace")
-    check("trace gate: new benchmark tolerated", rc == 0 and "new" in out)
-
-    # 7. The named adapt gate over BENCH_adapt.json-shaped fixtures:
-    #    a steady adaptive-vs-static ratio passes, losing the adaptive
-    #    win (ratio collapse) fails.
-    adapt_base = metrics(
-        gauges={"adapt.bench.phased_ab.ratio": 1.12,
-                "adapt.bench.phased_ab.adaptive_mips": 105.0,
-                "adapt.average.best_phased_ratio": 1.12})
-    rc, out, _ = gate_named(adapt_base, adapt_base, "adapt")
-    check("adapt gate: steady run passes", rc == 0 and "ok:" in out)
-    lost_win = metrics(
-        gauges={"adapt.bench.phased_ab.ratio": 0.80,
-                "adapt.bench.phased_ab.adaptive_mips": 75.0,
-                "adapt.average.best_phased_ratio": 0.80})
-    rc, _, err = gate_named(adapt_base, lost_win, "adapt")
-    check("adapt gate: ratio collapse fails",
-          rc == 1 and "moved more than" in err)
-
-    # 7b. The named timing gate over BENCH_timing.json-shaped fixtures:
-    #     the acceptance gauges hold or the gate fails. picks_differ
-    #     dropping to 0 (both controllers picking the same candidate on
-    #     the skewed subject) is a -100% move, so it always trips.
-    timing_base = metrics(
-        gauges={"timing.accept.picks_differ": 1.0,
-                "timing.accept.worst_steady_ratio": 1.0,
-                "timing.bench.skewed.steady_cost_ratio": 1.02,
-                "timing.bench.skewed.time_first_cover": 0.85})
-    rc, out, _ = gate_named(timing_base, timing_base, "timing")
-    check("timing gate: steady run passes", rc == 0 and "ok:" in out)
-    lost_pick = metrics(
-        gauges={"timing.accept.picks_differ": 0.0,
-                "timing.accept.worst_steady_ratio": 1.0,
-                "timing.bench.skewed.steady_cost_ratio": 1.02,
-                "timing.bench.skewed.time_first_cover": 0.15})
-    rc, _, err = gate_named(timing_base, lost_pick, "timing")
-    check("timing gate: lost pick separation fails",
-          rc == 1 and "moved more than" in err
-          and "within tolerance" in err)
-
-    # 7c. The named kiter gate over BENCH_kiter.json-shaped fixtures:
-    #     steady aggregates pass, a lost-fraction blowup at k = 4 fails,
-    #     and the per-benchmark kiter.bench.* keys stay informational
-    #     (a new benchmark must not break an older baseline).
-    kiter_base = metrics(
-        gauges={"kiter.k1.ppp.paths": 560.0,
-                "kiter.k4.ppp.paths": 2720.0,
-                "kiter.k4.ppp.lost_fraction": 0.001,
-                "kiter.k4.ppp.overhead_pct": 14.7,
-                "kiter.k4.ppp.demoted_fns": 27.0,
-                "kiter.bench.vpr.k4.ppp.lost_fraction": 0.0085})
-    rc, out, _ = gate_named(kiter_base, kiter_base, "kiter")
-    check("kiter gate: steady run passes", rc == 0 and "ok:" in out)
-    blown = dict(kiter_base)
-    blown["gauges"] = dict(kiter_base["gauges"],
-                           **{"kiter.k4.ppp.lost_fraction": 0.5})
-    rc, _, err = gate_named(kiter_base, blown, "kiter")
-    check("kiter gate: lost-fraction blowup fails",
-          rc == 1 and "moved more than" in err)
-    grown_kiter = dict(kiter_base)
-    grown_kiter["gauges"] = dict(
-        kiter_base["gauges"],
-        **{"kiter.bench.gcc.k4.ppp.lost_fraction": 0.002})
-    rc, out, _ = gate_named(kiter_base, grown_kiter, "kiter")
-    check("kiter gate: new benchmark tolerated", rc == 0)
-
-    # 8. Every named preset resolves to at least one pattern and a
-    #    positive threshold (catches typos when presets are edited).
+    # 6. Every named preset is a non-empty pattern list.
     check("gate presets well-formed",
-          all(p.strip() and t > 0
-              for p, t in GATES.values()) and set(GATES) ==
+          all(p.strip() for p in GATES.values()) and set(GATES) ==
           {"throughput", "served", "trace", "adapt", "timing", "kiter"})
 
-    # 9. Report-only mode never fails.
+    def named(old_gauges, new_gauges, name):
+        return gate(metrics(gauges=old_gauges), metrics(gauges=new_gauges),
+                    GATES[name])
+
+    # 6a. The trace gate over BENCH_trace.json-shaped fixtures: steady
+    #     numbers pass, a decode-throughput collapse fails, and a
+    #     benchmark added to the suite does not break the older
+    #     baseline.
+    trace_base = {**spread("trace.bench.mcf.record_mips", 120.0, 6.0, 20),
+                  **spread("trace.bench.mcf.decode_eps_j4", 6.0e7, 6e6, 20),
+                  **spread("trace.average.decode_eps_j4", 6.0e7, 6e6, 20),
+                  "trace.bench.mcf.bytes_per_event": 0.18}
+    rc, out, _ = named(trace_base, trace_base, "trace")
+    check("trace gate: steady run passes", rc == 0 and "ok:" in out)
+    collapsed = {**trace_base,
+                 **spread("trace.bench.mcf.decode_eps_j4", 2.0e7, 2e6, 20),
+                 **spread("trace.average.decode_eps_j4", 2.0e7, 2e6, 20)}
+    rc, _, err = named(trace_base, collapsed, "trace")
+    check("trace gate: decode collapse fails",
+          rc == 1 and "decode_eps_j4" in err)
+    grown_trace = {**trace_base,
+                   **spread("trace.bench.vpr.record_mips", 90.0, 4.0, 20)}
+    rc, out, _ = named(trace_base, grown_trace, "trace")
+    check("trace gate: new benchmark tolerated", rc == 0 and "new" in out)
+
+    # 6b. The adapt gate: a steady static/adaptive ratio passes, losing
+    #     the adaptive win (ratio collapse) fails.
+    adapt_base = {**spread("adapt.bench.phased_ab.ratio", 1.12, 0.05, 6),
+                  **spread("adapt.average.best_phased_ratio", 1.12, 0.05, 6),
+                  "adapt.bench.phased_ab.versions_installed": 3.0}
+    rc, out, _ = named(adapt_base, adapt_base, "adapt")
+    check("adapt gate: steady run passes", rc == 0 and "ok:" in out)
+    lost_win = {**adapt_base,
+                **spread("adapt.bench.phased_ab.ratio", 0.80, 0.05, 6),
+                **spread("adapt.average.best_phased_ratio", 0.80, 0.05, 6)}
+    rc, _, err = named(adapt_base, lost_win, "adapt")
+    check("adapt gate: ratio collapse fails",
+          rc == 1 and "best_phased_ratio" in err)
+
+    # 6c. The timing gate: picks_differ dropping to 0 (both controllers
+    #     picking the same candidate on the skewed subject) is a -100%
+    #     move, so it always trips; a move outside the preset's
+    #     patterns is ignored.
+    timing_base = {"timing.accept.picks_differ": 1.0,
+                   "timing.bench.skewed.steady_cost_ratio": 1.02,
+                   "adapt.bench.x.ratio": 1.0}
+    lost_pick = {**timing_base, "timing.accept.picks_differ": 0.0}
+    rc, _, err = named(timing_base, lost_pick, "timing")
+    check("timing gate: lost pick separation fails",
+          rc == 1 and "picks_differ" in err)
+    elsewhere = {**timing_base, "adapt.bench.x.ratio": 2.0}
+    rc, _, _ = named(timing_base, elsewhere, "timing")
+    check("named gate ignores other keys", rc == 0)
+
+    # 6d. The kiter gate: steady aggregates pass, a lost-fraction blowup
+    #     at k = 4 fails, and the per-benchmark kiter.bench.* keys stay
+    #     informational (a new benchmark must not break an older
+    #     baseline).
+    kiter_base = {"kiter.k1.ppp.paths": 560.0,
+                  "kiter.k4.ppp.paths": 2720.0,
+                  "kiter.k4.ppp.lost_fraction": 0.001,
+                  "kiter.bench.vpr.k4.ppp.lost_fraction": 0.0085}
+    rc, out, _ = named(kiter_base, kiter_base, "kiter")
+    check("kiter gate: steady run passes", rc == 0 and "ok:" in out)
+    blown = {**kiter_base, "kiter.k4.ppp.lost_fraction": 0.5}
+    rc, _, err = named(kiter_base, blown, "kiter")
+    check("kiter gate: lost-fraction blowup fails",
+          rc == 1 and "lost_fraction" in err)
+    grown_kiter = {**kiter_base,
+                   "kiter.bench.gcc.k4.ppp.lost_fraction": 0.002}
+    rc, _, _ = named(kiter_base, grown_kiter, "kiter")
+    check("kiter gate: new benchmark tolerated", rc == 0)
+
+    # 6e. '*' matches mid-key too.
+    rc, _, err = gate(metrics(gauges={"serve.bench.shards1.fast_fraction":
+                                      0.17}),
+                      metrics(gauges={"serve.bench.shards1.fast_fraction":
+                                      0.5}),
+                      "serve.bench.shards*.fast_fraction")
+    check("mid-key glob gates", rc == 1 and "fast_fraction" in err)
+
+    # 7. Report-only mode never fails.
     with tempfile.TemporaryDirectory() as d:
         ns = argparse.Namespace(old=write(base, d, "o.json"),
-                                new=write(grown, d, "n.json"),
-                                keys="", threshold=10.0)
+                                new=write(grown, d, "n.json"), keys="")
         out = io.StringIO()
         rc = run(ns, out=out, err=out)
         check("report mode exits 0", rc == 0 and "changed" in out.getvalue())
@@ -353,14 +397,12 @@ def main():
     ap.add_argument("old", nargs="?")
     ap.add_argument("new", nargs="?")
     ap.add_argument("--keys", default="",
-                    help="comma-separated keys to gate on ('*' suffix = "
-                         "prefix match); without this, report-only mode")
-    ap.add_argument("--threshold", type=float, default=None,
-                    help="flag changes beyond this percentage (default 10)")
+                    help="comma-separated keys to gate on ('*' matches "
+                         "any run of characters); without this, "
+                         "report-only mode")
     ap.add_argument("--gate", choices=sorted(GATES),
-                    help="named preset for a committed BENCH_*.json "
-                         "baseline; sets --keys and --threshold unless "
-                         "given explicitly")
+                    help="named key patterns for a committed BENCH_*.json "
+                         "baseline, unless --keys is given")
     ap.add_argument("--self-test", action="store_true",
                     help="run the built-in unit checks and exit")
     args = ap.parse_args()
@@ -368,12 +410,7 @@ def main():
     if args.self_test:
         return self_test()
     if args.gate:
-        preset_keys, preset_threshold = GATES[args.gate]
-        args.keys = args.keys or preset_keys
-        if args.threshold is None:
-            args.threshold = preset_threshold
-    if args.threshold is None:
-        args.threshold = 10.0
+        args.keys = args.keys or GATES[args.gate]
     if not args.old or not args.new:
         ap.error("OLD and NEW metrics files are required")
     return run(args)

@@ -21,19 +21,20 @@
 ///       the server produces. Byte-identical output is the smoke test's
 ///       pass criterion.
 ///
-///   ppp_served bench [--out=FILE] [--clients=N] [--shards=CSV]
-///                    [--cells=N] [--probes=N] [--variants=V] [--reps=R]
-///                    [--ms-per-config=MS]
-///       The ingest benchmark: N concurrent client threads each perform
-///       a fixed number of ingests (rotating through V module
-///       identities) against one aggregator per shard count while decay
-///       passes and hottest-path queries run, reporting merges/sec per
-///       configuration to stdout and a "serve."-prefixed metrics JSON
-///       (BENCH_served.json).
+///   ppp_served bench [--out=FILE]
+///       The ingest benchmark: shard counts {1,2,4,8} are the variants
+///       of bench/Measure.h's blocked loop. Each rep is one fixed-work
+///       round on that configuration's aggregator, filled with every key
+///       before timing starts -- 8 concurrent client threads each
+///       perform 512 ingests (rotating through 16 module identities)
+///       while decay passes and hottest-path queries run every 100 ms --
+///       reporting merges/sec per configuration to stdout and a
+///       "serve."-prefixed metrics JSON (BENCH_served.json).
 ///
 //===----------------------------------------------------------------------===//
 
 #include "Harness.h"
+#include "Measure.h"
 #include "interp/Interpreter.h"
 #include "obs/Obs.h"
 #include "serve/Server.h"
@@ -43,10 +44,13 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <map>
+#include <memory>
+#include <mutex>
 #include <optional>
 #include <string>
 #include <thread>
@@ -105,9 +109,7 @@ int usage() {
           "tpp-checked|ppp] [--name=ID] [--repeat=R]\n"
           "       ppp_served oracle --bench=NAME[,NAME...] [--profiler=...]"
           " [--repeat=R] [--out=FILE]\n"
-          "       ppp_served bench [--out=FILE] [--clients=N] [--shards=CSV]"
-          " [--cells=N] [--probes=N] [--variants=V] [--reps=R]"
-          " [--ms-per-config=MS]\n");
+          "       ppp_served bench [--out=FILE]\n");
   return 2;
 }
 
@@ -345,190 +347,167 @@ int cmdOracle(Flags &F) {
 // bench
 //===----------------------------------------------------------------------===//
 
-struct BenchConfig {
-  uint32_t Shards;
-  double MergesPerSec = 0;
-  double FastFraction = 0;
-  uint64_t OverflowKeys = 0;
-  uint64_t DecayPasses = 0;
-  uint64_t Queries = 0;
+/// The ingest benchmark's fixed shape: 8 senders x 16 module identities
+/// (~95k distinct keys), 16384 cells and 16 probes per shard, decay and
+/// a hottestPaths(16) query every QueryPeriod while a round runs. The
+/// decay cadence sets the low-shard rates (DESIGN.md §10.4); rounds 4x
+/// longer than IngestsPerClient move merges/sec by 2-5%.
+constexpr unsigned BenchClients = 8, BenchIdentities = 16;
+constexpr uint32_t BenchCells = 16384, BenchProbes = 16;
+constexpr uint32_t BenchShards[] = {1, 2, 4, 8};
+constexpr uint64_t IngestsPerClient = 512;
+constexpr auto QueryPeriod = std::chrono::milliseconds(100);
+constexpr unsigned BenchWarmup = 1, BenchReps = 8;
+
+/// One configuration: its aggregator, which lives across every round,
+/// the ids its senders ingest under (Ids[client][identity]), and each
+/// round's fast-path fraction, overflow keys and decay+query passes
+/// (they move with how decay interleaves the ingest).
+struct BenchTable {
+  std::unique_ptr<Aggregator> Agg;
+  std::vector<std::vector<uint16_t>> Ids;
+  std::vector<double> FastFraction, OverflowKeys, DecayPasses;
 };
 
 int cmdBench(Flags &F) {
   std::string OutPath = F.get("out").value_or("BENCH_served.json");
-  unsigned Clients = static_cast<unsigned>(F.getNum("clients", 8));
-  std::string ShardsCsv = F.get("shards").value_or("1,2,4,8");
-  uint32_t Cells = static_cast<uint32_t>(F.getNum("cells", 16384));
-  uint32_t Probes = static_cast<uint32_t>(F.getNum("probes", 16));
-  uint64_t MsPerConfig = F.getNum("ms-per-config", 1200);
-  unsigned Variants = static_cast<unsigned>(F.getNum("variants", 16));
-  uint64_t Reps = F.getNum("reps", 0); // 0 = calibrate from ms-per-config.
   if (auto U = F.unknown()) {
     fprintf(stderr, "error: unknown argument '%s'\n", U->c_str());
     return usage();
   }
-  if (Clients == 0 || Variants == 0 || Clients * Variants > 250) {
-    fprintf(stderr, "error: need 1 <= clients*variants <= 250 (benchmark ids "
-                    "are 8-bit in packed keys)\n");
-    return 2;
-  }
 
-  // Load generation: each simulated client replays real instrumented
-  // runs' counts messages, rotating through --variants distinct module
-  // identities (distinct benchmark id => distinct key space), the way a
-  // worker that cycles through a suite would. The aggregate key working
-  // set therefore grows with clients*variants, which is exactly the
-  // axis that saturates a low shard count.
+  // Load generation: each simulated client replays a real instrumented
+  // run's counts message, rotating through BenchIdentities distinct
+  // module identities (distinct benchmark id => distinct key space), the
+  // way a worker that cycles through a suite would. The aggregate key
+  // working set therefore grows with clients x identities, which is
+  // exactly the axis that saturates a low shard count.
   std::vector<BenchmarkSpec> Suite = spec2000Suite();
-  std::vector<BenchmarkSpec> Specs;
-  for (unsigned I = 0; I < Clients && I < Suite.size(); ++I)
-    Specs.push_back(Suite[I]);
+  std::vector<BenchmarkSpec> Specs(
+      Suite.begin(), Suite.begin() + std::min<size_t>(BenchClients,
+                                                      Suite.size()));
   fprintf(stderr, "preparing %zu benchmarks on %u jobs...\n", Specs.size(),
           bench::parallelJobs(Specs.size()));
-  std::vector<CountsMessage> Base = bench::runSuiteParallel(
+  std::vector<CountsMessage> Msgs = bench::runSuiteParallel(
       Specs, [](const BenchmarkSpec &S) {
         return buildRunMessage(S.Name, ProfilerOptions::ppp());
       });
 
-  std::vector<CountsMessage> PerClient;
-  uint64_t Keys = 0;
-  for (unsigned I = 0; I < Clients; ++I) {
-    PerClient.push_back(Base[I % Base.size()]);
-    uint64_t MsgKeys = 0;
-    for (const FunctionCounts &FC : PerClient.back().Funcs)
-      MsgKeys += FC.PathCounts.size() + FC.EdgeCounts.size() +
-                 (FC.Lost > 0) + (FC.Cold > 0) + (FC.Invalid > 0);
-    Keys += MsgKeys * Variants;
-  }
-
-  auto internIds = [&](Aggregator &Agg) {
-    // Clients * Variants distinct identities: client I's rep r ingests
-    // under identity Ids[I][r % Variants].
-    std::vector<std::vector<uint16_t>> Ids(Clients);
-    for (unsigned I = 0; I < Clients; ++I)
-      for (unsigned V = 0; V < Variants; ++V)
-        Ids[I].push_back(Agg.internBenchmark(
+  // Every configuration's aggregator is built, and every key inserted
+  // once, before the clock starts: a timed round merges into a table
+  // that already holds its working set, as a live server's does, and
+  // charges no construction, interning or first-touch inserts. Decay
+  // still evicts overflow keys whose count halves to zero, and the
+  // round re-inserts those, as a live server would.
+  constexpr size_t NumConfigs = std::size(BenchShards);
+  std::vector<BenchTable> Tables(NumConfigs);
+  for (size_t C = 0; C < NumConfigs; ++C) {
+    AggregatorConfig AC;
+    AC.Shards = BenchShards[C];
+    AC.CellsPerShard = BenchCells;
+    AC.MaxProbes = BenchProbes;
+    BenchTable &T = Tables[C];
+    T.Agg = std::make_unique<Aggregator>(AC);
+    T.Ids.resize(BenchClients);
+    for (unsigned I = 0; I < BenchClients; ++I)
+      for (unsigned V = 0; V < BenchIdentities; ++V) {
+        T.Ids[I].push_back(T.Agg->internBenchmark(
             formatString("client%02u.v%02u:%s", I, V,
                          Specs[I % Specs.size()].Name.c_str())));
-    return Ids;
-  };
-
-  // Fixed work per client: every sender performs exactly Reps ingests,
-  // and merges/sec is total merges over the wall clock until the LAST
-  // sender finishes. A fixed-duration free-for-all would overweight
-  // whichever clients' keys happen to be cell-resident (they complete
-  // more, cheaper, iterations); fixed work charges every configuration
-  // for its slowest traffic. Calibrated on a 1-shard aggregator so
-  // --ms-per-config approximates the slowest configuration's duration.
-  if (Reps == 0) {
-    AggregatorConfig CalAC;
-    CalAC.Shards = 1;
-    CalAC.CellsPerShard = Cells;
-    CalAC.MaxProbes = Probes;
-    Aggregator Cal(CalAC);
-    auto Ids = internIds(Cal);
-    uint64_t N = 0;
-    auto C0 = std::chrono::steady_clock::now();
-    auto CalEnd = C0 + std::chrono::milliseconds(150);
-    while (std::chrono::steady_clock::now() < CalEnd) {
-      Cal.ingest(Ids[N % Clients][N % Variants], PerClient[N % Clients]);
-      ++N;
-    }
-    double CalSecs = std::chrono::duration<double>(
-                         std::chrono::steady_clock::now() - C0)
-                         .count();
-    double RepsPerSec = static_cast<double>(N) / CalSecs;
-    Reps = std::max<uint64_t>(
-        8, static_cast<uint64_t>(RepsPerSec *
-                                 (static_cast<double>(MsPerConfig) / 1000.0) /
-                                 Clients));
-    fprintf(stderr, "calibrated %llu reps/client\n",
-            (unsigned long long)Reps);
+        T.Agg->ingest(T.Ids[I][V], Msgs[I % Msgs.size()]);
+      }
   }
+  // Every distinct key now holds one cell or one overflow entry.
+  Aggregator::Stats Filled = Tables[0].Agg->stats();
+  uint64_t Keys = Filled.CellsClaimed + Filled.OverflowKeys;
 
-  std::vector<BenchConfig> Results;
-  for (const std::string &ShardStr : splitList(ShardsCsv)) {
-    BenchConfig R{static_cast<uint32_t>(strtoul(ShardStr.c_str(), nullptr,
-                                                10))};
-    AggregatorConfig AC;
-    AC.Shards = R.Shards;
-    AC.CellsPerShard = Cells;
-    AC.MaxProbes = Probes;
-    Aggregator Agg(AC);
-    auto Ids = internIds(Agg);
-
-    std::atomic<unsigned> SendersDone{0};
+  // One round: fixed work per client -- every sender performs exactly
+  // IngestsPerClient ingests, and the round ends when the LAST sender
+  // finishes. A fixed-duration free-for-all would overweight whichever
+  // clients' keys happen to be cell-resident (they complete more,
+  // cheaper, iterations); fixed work charges every configuration for
+  // its slowest traffic. Decay and queries run concurrently, as they
+  // would on a live server: one pass as the round starts, then one per
+  // QueryPeriod until the last sender finishes.
+  uint64_t MergesPerRound = 0;
+  auto Round = [&](size_t Config) {
+    BenchTable &T = Tables[Config];
+    Aggregator &Agg = *T.Agg;
+    Aggregator::Stats Before = Agg.stats();
+    std::mutex M;
+    std::condition_variable Cv;
+    unsigned Done = 0;
     std::vector<std::thread> Senders;
-    auto T0 = std::chrono::steady_clock::now();
-    for (unsigned I = 0; I < Clients; ++I)
+    for (unsigned I = 0; I < BenchClients; ++I)
       Senders.emplace_back([&, I] {
-        for (uint64_t Rep = 0; Rep < Reps; ++Rep)
-          Agg.ingest(Ids[I][Rep % Variants], PerClient[I]);
-        SendersDone.fetch_add(1, std::memory_order_release);
+        for (uint64_t Rep = 0; Rep < IngestsPerClient; ++Rep)
+          Agg.ingest(T.Ids[I][Rep % BenchIdentities], Msgs[I % Msgs.size()]);
+        std::lock_guard<std::mutex> L(M);
+        if (++Done == BenchClients)
+          Cv.notify_one();
       });
-
-    // Periodic decay and hottest-path queries run concurrently with
-    // ingest, as they would on a live server.
     uint64_t Queries = 0;
-    while (SendersDone.load(std::memory_order_acquire) < Clients) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    std::unique_lock<std::mutex> L(M);
+    do {
+      L.unlock();
       Agg.decay();
       (void)Agg.hottestPaths(16);
       ++Queries;
+      L.lock();
+    } while (
+        !Cv.wait_for(L, QueryPeriod, [&] { return Done == BenchClients; }));
+    L.unlock();
+    for (std::thread &S : Senders)
+      S.join();
+    Aggregator::Stats A = Agg.stats();
+    uint64_t Merges = A.Merges - Before.Merges;
+    if (MergesPerRound == 0)
+      MergesPerRound = Merges;
+    if (Merges != MergesPerRound) {
+      fprintf(stderr, "error: shards=%u round merged %llu, expected %llu\n",
+              BenchShards[Config], (unsigned long long)Merges,
+              (unsigned long long)MergesPerRound);
+      exit(1);
     }
-    for (std::thread &T : Senders)
-      T.join();
-    auto T1 = std::chrono::steady_clock::now();
+    T.FastFraction.push_back(
+        static_cast<double>(A.FastMerges - Before.FastMerges) /
+        static_cast<double>(Merges));
+    T.OverflowKeys.push_back(static_cast<double>(A.OverflowKeys));
+    T.DecayPasses.push_back(static_cast<double>(Queries));
+  };
+  std::vector<std::function<void()>> Variants;
+  for (size_t C = 0; C < NumConfigs; ++C)
+    Variants.push_back([&, C] { Round(C); });
+  bench::Samples S = bench::measure(Variants, BenchWarmup, BenchReps);
 
-    Aggregator::Stats S = Agg.stats();
-    double Secs = std::chrono::duration<double>(T1 - T0).count();
-    R.MergesPerSec = static_cast<double>(S.Merges) / Secs;
-    R.FastFraction =
-        S.Merges > 0
-            ? static_cast<double>(S.FastMerges) / static_cast<double>(S.Merges)
-            : 0.0;
-    R.OverflowKeys = S.OverflowKeys;
-    R.DecayPasses = S.DecayPasses;
-    R.Queries = Queries;
-    Results.push_back(R);
-
-    std::string Prefix = formatString("serve.bench.shards%u", R.Shards);
-    obs::gauge(Prefix + ".merges_per_sec").set(R.MergesPerSec);
-    obs::gauge(Prefix + ".fast_fraction").set(R.FastFraction);
-    obs::gauge(Prefix + ".overflow_keys")
-        .set(static_cast<double>(R.OverflowKeys));
-    fprintf(stderr, "shards=%u done: %.0f merges/sec\n", R.Shards,
-            R.MergesPerSec);
+  printf("%-8s %14s %10s %8s %12s %8s\n", "shards", "merges/sec", "iqr",
+         "fast%", "overflow", "decays");
+  for (size_t C = 0; C < NumConfigs; ++C) {
+    bench::Spread Rate = S.rate(C, static_cast<double>(MergesPerRound));
+    bench::Spread Fast = bench::spreadOf(Tables[C].FastFraction);
+    bench::Spread Overflow = bench::spreadOf(Tables[C].OverflowKeys);
+    std::string Prefix = formatString("serve.bench.shards%u", BenchShards[C]);
+    bench::publish(Prefix + ".merges_per_sec", Rate);
+    bench::publish(Prefix + ".fast_fraction", Fast);
+    bench::publish(Prefix + ".overflow_keys", Overflow);
+    printf("%-8u %14.0f %10.0f %7.1f%% %12.0f %8.0f\n", BenchShards[C],
+           Rate.Median, Rate.Iqr, 100.0 * Fast.Median, Overflow.Median,
+           bench::spreadOf(Tables[C].DecayPasses).Median);
   }
+  bench::Spread Scaling = S.ratio(0, NumConfigs - 1);
+  bench::publish("serve.bench.scaling_max_vs_1", Scaling);
+  printf("scaling %u-shard vs 1-shard: %.2fx (iqr %.2f)\n",
+         BenchShards[NumConfigs - 1], Scaling.Median, Scaling.Iqr);
 
-  obs::gauge("serve.bench.clients").set(Clients);
-  obs::gauge("serve.bench.variants").set(Variants);
-  obs::gauge("serve.bench.reps_per_client").set(static_cast<double>(Reps));
+  obs::gauge("serve.bench.clients").set(BenchClients);
+  obs::gauge("serve.bench.variants").set(BenchIdentities);
+  obs::gauge("serve.bench.ingests_per_client")
+      .set(static_cast<double>(IngestsPerClient));
+  obs::gauge("serve.bench.reps").set(BenchReps);
   obs::gauge("serve.bench.keys").set(static_cast<double>(Keys));
-  obs::gauge("serve.bench.cells_per_shard").set(Cells);
-  obs::gauge("serve.bench.max_probes").set(Probes);
-  obs::gauge("serve.bench.ms_per_config").set(static_cast<double>(MsPerConfig));
-  if (Results.size() >= 2 && Results.front().MergesPerSec > 0)
-    obs::gauge("serve.bench.scaling_max_vs_1")
-        .set(Results.back().MergesPerSec / Results.front().MergesPerSec);
-
-  printf("%-8s %14s %8s %12s %8s %8s\n", "shards", "merges/sec", "fast%",
-         "overflow", "decays", "queries");
-  for (const BenchConfig &R : Results)
-    printf("%-8u %14.0f %7.1f%% %12llu %8llu %8llu\n", R.Shards,
-           R.MergesPerSec, 100.0 * R.FastFraction,
-           (unsigned long long)R.OverflowKeys,
-           (unsigned long long)R.DecayPasses, (unsigned long long)R.Queries);
-  if (Results.size() >= 2 && Results.front().MergesPerSec > 0)
-    printf("scaling %u-shard vs 1-shard: %.2fx\n", Results.back().Shards,
-           Results.back().MergesPerSec / Results.front().MergesPerSec);
-
-  std::string Error;
-  if (!obs::writeMetricsJson(OutPath, "serve.", &Error)) {
-    fprintf(stderr, "error: %s\n", Error.c_str());
-    return 1;
-  }
-  fprintf(stderr, "wrote %s\n", OutPath.c_str());
+  obs::gauge("serve.bench.cells_per_shard").set(BenchCells);
+  obs::gauge("serve.bench.max_probes").set(BenchProbes);
+  bench::writeReport(OutPath, "serve.");
   return 0;
 }
 
