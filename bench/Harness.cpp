@@ -4,11 +4,11 @@
 
 #include "PrepCache.h"
 
-#include "interp/Interpreter.h"
 #include "obs/Obs.h"
 #include "pass/AnalysisManager.h"
 #include "pass/Pipeline.h"
 #include "support/Format.h"
+#include "trace/Collect.h"
 #include "trace/PathTiming.h"
 #include "trace/TraceDecoder.h"
 
@@ -138,15 +138,16 @@ PreparedBenchmark ppp::bench::prepareUncached(const BenchmarkSpec &Spec,
   // First snapshot: the original code (B.Expanded was still identical
   // to B.Original when the first profile pass ran). Last snapshot: the
   // expanded code's self advice under the chosen cost model.
-  const ProfileSnapshot &First = Ctx.Profiles.front();
+  const CleanProfile &First = Ctx.Profiles.front();
   B.EPOrig = First.EP;
   B.OracleOrig = First.Oracle;
-  B.CostOrig = First.Cost;
-  ProfileSnapshot &Last = Ctx.Profiles.back();
+  B.CostOrig = First.Res.Cost;
+  B.DynInstrsOrig = First.Res.DynInstrs;
+  CleanProfile &Last = Ctx.Profiles.back();
   B.Inline = Ctx.Inline;
   B.Unroll = Ctx.Unroll;
-  B.CostBase = Last.Cost;
-  B.DynInstrs = Last.DynInstrs;
+  B.CostBase = Last.Res.Cost;
+  B.DynInstrs = Last.Res.DynInstrs;
   B.EP = std::move(Last.EP);
   B.Oracle = std::move(Last.Oracle);
   return B;
@@ -163,48 +164,20 @@ ProfilerOutcome ppp::bench::runProfiler(const PreparedBenchmark &B,
   ProfileRuntime RT = Out.IR->makeRuntime();
   InterpOptions IO;
   IO.Costs = B.Costs;
-  if (Opts.TraceBackend) {
-    // Trace backend: run the *clean* module with packet recording (the
-    // hot loop pays only appends, costed at TraceByte per byte), then
-    // reconstruct the exact counters offline.
-    Interpreter I(B.Expanded, IO);
-    trace::TraceRecorder Rec(trace::DefaultTraceChunkBytes,
-                             Opts.TraceTimestamps);
-    I.setTraceRecorder(&Rec);
-    RunResult Res = I.run();
-    if (Res.FuelExhausted) {
-      fprintf(stderr, "error: traced %s (%s) hung\n", B.Name.c_str(),
-              Opts.Name.c_str());
-      exit(1);
-    }
-    Out.CostInstr = Res.Cost;
-    Out.OverheadPct = overheadPercent(B.CostBase, Res.Cost);
-    trace::TraceDecoder Dec(B.Expanded, *Out.IR, B.Costs);
-    trace::DecodeStats DS;
-    std::string Error;
-    trace::PathTimingProfile Timing;
-    if (!Dec.decode(Rec.recording(), RT, DS, Error,
-                    Opts.TraceTimestamps ? &Timing : nullptr)) {
-      fprintf(stderr, "error: trace decode of %s (%s) failed: %s\n",
-              B.Name.c_str(), Opts.Name.c_str(), Error.c_str());
-      exit(1);
-    }
-    if (Opts.TraceTimestamps) {
-      Timing.finishPhases();
-      Timing.flushMetrics();
-    }
-  } else {
-    Interpreter I(Out.IR->Instrumented, IO);
-    I.setProfileRuntime(&RT);
-    RunResult Res = I.run();
-    if (Res.FuelExhausted) {
-      fprintf(stderr, "error: instrumented %s (%s) hung\n", B.Name.c_str(),
-              Opts.Name.c_str());
-      exit(1);
-    }
-    Out.CostInstr = Res.Cost;
-    Out.OverheadPct = overheadPercent(B.CostBase, Res.Cost);
+  RunResult Res;
+  std::string Error;
+  trace::PathTimingProfile Timing;
+  if (!trace::collect(B.Expanded, *Out.IR, IO, RT, Res, Error, &Timing)) {
+    fprintf(stderr, "error: %s (%s): %s\n", B.Name.c_str(), Opts.Name.c_str(),
+            Error.c_str());
+    exit(1);
   }
+  if (Opts.TraceTimestamps) {
+    Timing.finishPhases();
+    Timing.flushMetrics();
+  }
+  Out.CostInstr = Res.Cost;
+  Out.OverheadPct = overheadPercent(B.CostBase, Res.Cost);
 
   Out.Run = buildEstimatedProfile(B.Expanded, B.EP, *Out.IR, RT);
   for (const FunctionPlan &P : Out.IR->Plans)

@@ -9,9 +9,9 @@
 ///   3. inline + unroll guided by that edge profile (Sec. 7.3);
 ///   4. re-profile the expanded code -- the *self advice* every
 ///      profiler and every metric uses from here on;
-///   5. instrument with PP/TPP/PPP (or an ablation variant), run the
-///      instrumented module, and evaluate accuracy / coverage /
-///      instrumented fraction / overhead.
+///   5. instrument with PP/TPP/PPP (or an ablation variant, or the
+///      trace backend), profile one run through trace::collect, and
+///      evaluate accuracy / coverage / instrumented fraction / overhead.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -63,6 +63,7 @@ struct PreparedBenchmark {
   EdgeProfile EPOrig;
   PathProfile OracleOrig;
   uint64_t CostOrig = 0;
+  uint64_t DynInstrsOrig = 0;
 
   // Expanded-code profile: the self advice (Table 1's right half and
   // everything downstream).

@@ -232,51 +232,23 @@ std::string ppp::bench::serializePrepared(const PreparedBenchmark &B,
   W.str(writeEdgeProfileBinary(B.Original, B.EPOrig));
   W.str(writePathProfileBinary(B.Original, B.OracleOrig));
   W.u64(B.CostOrig);
+  W.u64(B.DynInstrsOrig);
   W.str(writeEdgeProfileBinary(B.Expanded, B.EP));
   W.str(writePathProfileBinary(B.Expanded, B.Oracle));
   W.u64(B.CostBase);
   W.u64(B.DynInstrs);
-
-  std::string Out;
-  Out.reserve(Payload.size() + 24);
-  BinWriter F(Out);
-  F.u32(PrepMagic);
-  F.u32(PrepPipelineVersion);
-  F.u64(Payload.size());
-  F.u64(fnv1a(Payload.data(), Payload.size()));
-  Out.append(Payload);
-  return Out;
+  return frameMessage(PrepMagic, Payload);
 }
 
 bool ppp::bench::deserializePrepared(const std::string &Data,
                                      const std::string &KeyString,
                                      PreparedBenchmark &Out,
                                      std::string &Error) {
-  BinReader F(Data);
-  uint32_t Magic = F.u32();
-  uint32_t Version = F.u32();
-  uint64_t Size = F.u64();
-  uint64_t Sum = F.u64();
-  if (!F.ok() || Magic != PrepMagic) {
-    Error = "prep entry: bad magic";
+  // The frame checks magic, format version, size and checksum; the key
+  // echo carries PrepPipelineVersion, so a stale entry reads as a miss.
+  BinReader R(Data.data(), 0);
+  if (!unframe(PrepMagic, "prep entry", Data, R, Error))
     return false;
-  }
-  if (Version != PrepPipelineVersion) {
-    Error = formatString("prep entry: pipeline version %u, expected %u",
-                         Version, PrepPipelineVersion);
-    return false;
-  }
-  if (Size != F.remaining()) {
-    Error = "prep entry: truncated";
-    return false;
-  }
-  const char *Body = Data.data() + (Data.size() - Size);
-  if (fnv1a(Body, static_cast<size_t>(Size)) != Sum) {
-    Error = "prep entry: checksum mismatch";
-    return false;
-  }
-
-  BinReader R(Body, static_cast<size_t>(Size));
   if (R.str() != KeyString) {
     Error = "prep entry: key mismatch (hash collision or stale entry)";
     return false;
@@ -298,6 +270,7 @@ bool ppp::bench::deserializePrepared(const std::string &Data,
   std::string EPOrigBlob = R.str();
   std::string OracleOrigBlob = R.str();
   B.CostOrig = R.u64();
+  B.DynInstrsOrig = R.u64();
   std::string EPBlob = R.str();
   std::string OracleBlob = R.str();
   B.CostBase = R.u64();

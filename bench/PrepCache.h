@@ -59,8 +59,9 @@ namespace bench {
 /// pass pipeline (the spec itself joined the key); 3 = CostModel grew
 /// TraceByte (serialized cost model and key text changed shape);
 /// 4 = CostModel grew TraceStampByte (timing-annotated tracing);
-/// 5 = CostModel grew ProfChainStep (k-iteration path profiling).
-inline constexpr uint32_t PrepPipelineVersion = 5;
+/// 5 = CostModel grew ProfChainStep (k-iteration path profiling);
+/// 6 = entries carry the original code's dynamic instruction count.
+inline constexpr uint32_t PrepPipelineVersion = 6;
 
 /// The canonical cache key text for (\p Spec, \p Costs) prepared under
 /// \p PipelineSpec (default: the active preparation pipeline, so

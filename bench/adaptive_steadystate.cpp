@@ -42,6 +42,7 @@
 #include "obs/Obs.h"
 #include "opt/Inliner.h"
 #include "opt/Unroller.h"
+#include "profile/Collectors.h"
 #include "workload/Generator.h"
 
 #include <cstdio>
@@ -176,10 +177,10 @@ BenchRow measureSubject(const Subject &S) {
   // Static one-shot PGO: the same profile the adaptive session gets as
   // instrumentation advice, spent all at once. Unroll advice must come
   // from a re-profile (the inliner left the edge ids stale).
-  EdgeProfile Advice = AdaptiveSession::collectAdvice(S.M, IO);
+  EdgeProfile Advice = profileClean(S.M, IO).EP;
   Module Opt = S.M;
   runInliner(Opt, Advice);
-  EdgeProfile Advice2 = AdaptiveSession::collectAdvice(Opt, IO);
+  EdgeProfile Advice2 = profileClean(Opt, IO).EP;
   runUnroller(Opt, Advice2);
   Interpreter Static(Opt, IO);
 

@@ -9,12 +9,13 @@
 
 #include "Experiments.h"
 
-#include "interp/Interpreter.h"
 #include "metrics/Metrics.h"
 #include "profile/Collectors.h"
+#include "trace/Collect.h"
 #include "workload/Kernels.h"
 
 #include <cstdio>
+#include <string>
 
 using namespace ppp;
 
@@ -30,14 +31,9 @@ int ppp::bench::runKernelsOverhead() {
     InterpOptions IO;
     IO.MemSeed = K.MemSeed;
 
-    EdgeProfiler EdgeObs(K.M);
-    PathTracer PathObs(K.M);
-    Interpreter I(K.M, IO);
-    I.addObserver(&EdgeObs);
-    I.addObserver(&PathObs);
-    RunResult Base = I.run();
-    EdgeProfile EP = EdgeObs.takeProfile();
-    PathProfile Oracle = PathObs.takeProfile();
+    CleanProfile Clean = profileClean(K.M, IO);
+    const EdgeProfile &EP = Clean.EP;
+    const PathProfile &Oracle = Clean.Oracle;
 
     double Vals[3];
     double PppAcc = 0;
@@ -47,15 +43,15 @@ int ppp::bench::runKernelsOverhead() {
           ProfilerOptions::ppp()}) {
       InstrumentationResult IR = instrumentModule(K.M, EP, Opts);
       ProfileRuntime RT = IR.makeRuntime();
-      Interpreter I2(IR.Instrumented, IO);
-      I2.setProfileRuntime(&RT);
-      RunResult R = I2.run();
-      if (R.ReturnValue != K.ExpectedReturn) {
-        fprintf(stderr, "error: %s mis-executed under %s\n",
-                K.Name.c_str(), Opts.Name.c_str());
+      RunResult R;
+      std::string Err;
+      bool Ran = trace::collect(K.M, IR, IO, RT, R, Err);
+      if (!Ran || R.ReturnValue != K.ExpectedReturn) {
+        fprintf(stderr, "error: %s under %s: %s\n", K.Name.c_str(),
+                Opts.Name.c_str(), Ran ? "mis-executed" : Err.c_str());
         return 1;
       }
-      Vals[Idx] = overheadPercent(Base.Cost, R.Cost);
+      Vals[Idx] = overheadPercent(Clean.Res.Cost, R.Cost);
       if (Opts.Name == "ppp") {
         ProfilerRunData Data = buildEstimatedProfile(K.M, EP, IR, RT);
         bool Any = false;

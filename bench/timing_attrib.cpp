@@ -56,9 +56,9 @@
 #include "ir/IRBuilder.h"
 #include "ir/Verifier.h"
 #include "obs/Obs.h"
+#include "profile/Collectors.h"
+#include "trace/Collect.h"
 #include "trace/PathTiming.h"
-#include "trace/TraceDecoder.h"
-#include "trace/TraceRecorder.h"
 
 #include <algorithm>
 #include <cstdio>
@@ -259,28 +259,16 @@ void dieIfDiffers(const char *What, const Subject &S, const RunResult &Ref,
 /// these small subjects so the detector produces a real report.
 trace::PathTimingProfile profileTiming(const Subject &S,
                                        const EdgeProfile &EP) {
-  trace::TraceRecorder Rec(trace::DefaultTraceChunkBytes,
-                           /*Timestamps=*/true);
-  InterpOptions IO;
-  Interpreter I(S.M, IO);
-  I.setTraceRecorder(&Rec);
-  if (I.run().FuelExhausted) {
-    fprintf(stderr, "error: %s: timed recording run exhausted fuel\n",
-            S.Name.c_str());
-    exit(1);
-  }
   InstrumentationResult IR =
-      instrumentModule(S.M, EP, ProfilerOptions::trace());
+      instrumentModule(S.M, EP, ProfilerOptions::traceTimed());
   ProfileRuntime RT = IR.makeRuntime();
-  trace::TraceDecoder Dec(S.M, IR);
-  trace::DecodeStats DS;
-  std::string Err;
   trace::PathTimingOptions TO;
   TO.PhaseWindowExecs = 256;
   trace::PathTimingProfile Timing(TO);
-  if (!Dec.decode(Rec.recording(), RT, DS, Err, &Timing)) {
-    fprintf(stderr, "error: %s: timed decode failed: %s\n", S.Name.c_str(),
-            Err.c_str());
+  RunResult Res;
+  std::string Err;
+  if (!trace::collect(S.M, IR, InterpOptions(), RT, Res, Err, &Timing)) {
+    fprintf(stderr, "error: %s: %s\n", S.Name.c_str(), Err.c_str());
     exit(1);
   }
   Timing.finishPhases();
@@ -359,7 +347,7 @@ SubjectRow measureSubject(const Subject &S) {
     exit(1);
   }
 
-  EdgeProfile Advice = AdaptiveSession::collectAdvice(S.M, IO);
+  EdgeProfile Advice = profileClean(S.M, IO).EP;
   trace::PathTimingProfile Timing = profileTiming(S, Advice);
   Row.Windows = Timing.windows().size();
   Row.Boundaries = Timing.phaseBoundaries().size();

@@ -40,11 +40,9 @@ int main() {
   Module M = generateWorkload(P);
 
   // Profile with PPP.
-  EdgeProfiler EO(M);
-  Interpreter I0(M);
-  I0.addObserver(&EO);
-  RunResult Base = I0.run();
-  EdgeProfile EP = EO.takeProfile();
+  CleanProfile Clean = profileClean(M);
+  const RunResult &Base = Clean.Res;
+  const EdgeProfile &EP = Clean.EP;
   InstrumentationResult IR = instrumentModule(M, EP, ProfilerOptions::ppp());
   ProfileRuntime RT = IR.makeRuntime();
   Interpreter I1(IR.Instrumented);

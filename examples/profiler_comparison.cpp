@@ -19,32 +19,6 @@
 
 using namespace ppp;
 
-namespace {
-
-struct CleanRun {
-  EdgeProfile EP;
-  PathProfile Oracle;
-  uint64_t Cost = 0;
-
-  CleanRun() : Oracle(0) {}
-};
-
-CleanRun profileOnce(const Module &M) {
-  CleanRun Out;
-  EdgeProfiler EO(M);
-  PathTracer PT(M);
-  Interpreter I(M);
-  I.addObserver(&EO);
-  I.addObserver(&PT);
-  RunResult R = I.run();
-  Out.EP = EO.takeProfile();
-  Out.Oracle = PT.takeProfile();
-  Out.Cost = R.Cost;
-  return Out;
-}
-
-} // namespace
-
 int main() {
   // A branchy, moderately skewed workload (parser-ish).
   WorkloadParams P;
@@ -57,13 +31,13 @@ int main() {
   Module M = generateWorkload(P);
 
   // Paper methodology (Sec. 7.3): inline and unroll first.
-  CleanRun Pre = profileOnce(M);
+  CleanProfile Pre = profileClean(M);
   runInliner(M, Pre.EP);
-  CleanRun Mid = profileOnce(M);
+  CleanProfile Mid = profileClean(M);
   runUnroller(M, Mid.EP);
   if (!verifyModule(M).empty())
     return 1;
-  CleanRun Base = profileOnce(M);
+  CleanProfile Base = profileClean(M);
 
   printf("benchmark: %s  (%llu dynamic paths, %llu distinct)\n\n",
          P.Name.c_str(), (unsigned long long)Base.Oracle.totalFreq(),
@@ -103,7 +77,7 @@ int main() {
         computeInstrumentedFraction(IR, Base.Oracle);
     printf("%-8s%12.1f%12.1f%12.2f%12.1f%12.1f\n", Opts.Name.c_str(),
            100 * Acc.Accuracy, 100 * Cov.Coverage,
-           overheadPercent(Base.Cost, R.Cost), 100 * Frac.Total,
+           overheadPercent(Base.Res.Cost, R.Cost), 100 * Frac.Total,
            100 * Frac.Hashed);
   }
 

@@ -103,11 +103,9 @@ int main() {
   printf("== The program ==\n%s\n", printFunction(M.function(0)).c_str());
 
   // 1. Collect the (cheap) edge profile the instrumenter needs.
-  EdgeProfiler EdgeObs(M);
-  Interpreter Clean(M);
-  Clean.addObserver(&EdgeObs);
-  RunResult Base = Clean.run();
-  EdgeProfile EP = EdgeObs.takeProfile();
+  CleanProfile Clean = profileClean(M);
+  const RunResult &Base = Clean.Res;
+  const EdgeProfile &EP = Clean.EP;
 
   // 2. Instrument a clone with PPP.
   InstrumentationResult IR = instrumentModule(M, EP, ProfilerOptions::ppp());

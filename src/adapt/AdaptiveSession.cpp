@@ -2,19 +2,8 @@
 
 #include "adapt/AdaptiveSession.h"
 
-#include "profile/Collectors.h"
-
 using namespace ppp;
 using namespace ppp::adapt;
-
-EdgeProfile AdaptiveSession::collectAdvice(const Module &M,
-                                           const InterpOptions &IO) {
-  Interpreter I(M, IO);
-  EdgeProfiler EP(M);
-  I.addObserver(&EP);
-  I.run();
-  return EP.takeProfile();
-}
 
 std::unique_ptr<AdaptiveSession>
 AdaptiveSession::create(const Module &M, const EdgeProfile &Advice,

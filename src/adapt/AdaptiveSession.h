@@ -24,18 +24,14 @@ class AdaptiveSession {
 public:
   /// Builds the full stack for \p M: PPP-instruments a clone of it
   /// under \p Advice (instrumentation advice -- pass the module's edge
-  /// profile, or collect one with collectAdvice()), creates the
-  /// counter runtime, binds an interpreter to the instrumented module,
-  /// and attaches an AdaptiveController with \p AOpts. Heap-only: the
+  /// profile, e.g. profileClean(M, IO).EP), creates the counter
+  /// runtime, binds an interpreter to the instrumented module, and
+  /// attaches an AdaptiveController with \p AOpts. Heap-only: the
   /// members hold pointers into each other.
   static std::unique_ptr<AdaptiveSession>
   create(const Module &M, const EdgeProfile &Advice,
          const InterpOptions &IO, const AdaptiveOptions &AOpts,
          const ProfilerOptions &POpts = ProfilerOptions::adaptive());
-
-  /// One clean observer run of \p M under \p IO, returning its edge
-  /// profile (the standard instrumentation advice).
-  static EdgeProfile collectAdvice(const Module &M, const InterpOptions &IO);
 
   /// Runs the instrumented module once, adaptively. Counters accumulate
   /// across runs (the controller samples deltas); versions persist.

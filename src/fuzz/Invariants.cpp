@@ -36,36 +36,6 @@ std::string InvariantReport::summary(unsigned MaxLines) const {
 
 namespace {
 
-struct CleanRun {
-  EdgeProfile EP;
-  PathProfile Oracle;
-  RunResult Res;
-  bool Ok = false;
-
-  CleanRun() : Oracle(0) {}
-};
-
-CleanRun runClean(const Module &M, uint64_t Fuel, InvariantReport &Rep) {
-  CleanRun Out;
-  EdgeProfiler EdgeObs(M);
-  PathTracer PathObs(M);
-  InterpOptions IO;
-  IO.Fuel = Fuel;
-  Interpreter I(M, IO);
-  I.addObserver(&EdgeObs);
-  I.addObserver(&PathObs);
-  Out.Res = I.run();
-  ++Rep.ChecksRun;
-  if (Out.Res.FuelExhausted) {
-    Rep.fail("terminates", "clean run exhausted fuel");
-    return Out;
-  }
-  Out.EP = EdgeObs.takeProfile();
-  Out.Oracle = PathObs.takeProfile();
-  Out.Ok = true;
-  return Out;
-}
-
 /// Compares two path profiles field-by-field (Key, Freq, Branches,
 /// Instrs); PathRecord has no operator== over containers we can lean
 /// on at the profile level because the read-back record order is not
@@ -96,7 +66,7 @@ bool samePathProfile(const PathProfile &A, const PathProfile &B,
   return true;
 }
 
-void checkRoundTrips(const Module &M, const CleanRun &Clean,
+void checkRoundTrips(const Module &M, const CleanProfile &Clean,
                      InvariantReport &Rep) {
   std::string Err;
   Module M2;
@@ -127,7 +97,7 @@ void checkRoundTrips(const Module &M, const CleanRun &Clean,
 /// DF from the edge profile alone must never exceed the oracle's
 /// frequency for any individual path (definite flow is a lower bound
 /// when the advice profile is exact).
-void checkDefiniteFlowBound(const Module &M, const CleanRun &Clean,
+void checkDefiniteFlowBound(const Module &M, const CleanProfile &Clean,
                             InvariantReport &Rep) {
   PathProfile DF = estimateFromEdgeProfile(M, Clean.EP, FlowKind::Definite,
                                            /*CutoffFlow=*/0,
@@ -150,7 +120,7 @@ void checkDefiniteFlowBound(const Module &M, const CleanRun &Clean,
   }
 }
 
-void checkOneProfiler(const Module &M, const CleanRun &Clean,
+void checkOneProfiler(const Module &M, const CleanProfile &Clean,
                       const ProfilerOptions &Opts, uint64_t Fuel,
                       InvariantReport &Rep) {
   auto Tag = [&](const char *Check) { return Opts.Name + "." + Check; };
@@ -390,7 +360,7 @@ private:
 /// wrapped id space), and conserve events: per chained function,
 /// stored + lost counts equal the flush oracle's total exactly -- the
 /// per-k path-sum-conservation invariant.
-void checkKIter(const Module &M, const CleanRun &Clean, uint64_t Fuel,
+void checkKIter(const Module &M, const CleanProfile &Clean, uint64_t Fuel,
                 InvariantReport &Rep) {
   // Checked poisoning cannot chain: the k request must demote per
   // function and count bit-identically to the plain preset.
@@ -578,7 +548,7 @@ void checkKIter(const Module &M, const CleanRun &Clean, uint64_t Fuel,
 /// and invalid spill counters included). Two chunk capacities run the
 /// same checks: the default (few seals) and a tiny one that forces a
 /// seal every few events, stressing the cursor/stitch machinery.
-void checkTraceBackend(const Module &M, const CleanRun &Clean,
+void checkTraceBackend(const Module &M, const CleanProfile &Clean,
                        uint64_t Fuel, InvariantReport &Rep) {
   // Small-but-legal stress capacity: every chunk holds only a few
   // packets past the varint reserve.
@@ -668,7 +638,7 @@ void checkTraceBackend(const Module &M, const CleanRun &Clean,
 /// plus unattributed equals that total, every per-path histogram sums
 /// to its path's count, and entry bounds are sane. Same two chunk
 /// capacities as the untimed battery, so seals land on stamp points.
-void checkTimedTrace(const Module &M, const CleanRun &Clean, uint64_t Fuel,
+void checkTimedTrace(const Module &M, const CleanProfile &Clean, uint64_t Fuel,
                      InvariantReport &Rep) {
   const uint32_t Caps[2] = {trace::DefaultTraceChunkBytes,
                             trace::TraceRecorder::MinTraceChunkBytes * 3};
@@ -814,7 +784,7 @@ void checkTimedTrace(const Module &M, const CleanRun &Clean, uint64_t Fuel,
 /// leaves the version table resolvable for every function. Two runs per
 /// cadence, so versions installed in the first (including main's, which
 /// can only swap at a run boundary) execute from entry in the second.
-void checkAdaptive(const Module &M, const CleanRun &Clean, uint64_t Fuel,
+void checkAdaptive(const Module &M, const CleanProfile &Clean, uint64_t Fuel,
                    InvariantReport &Rep) {
   for (uint64_t Cadence : {uint64_t(16), uint64_t(512)}) {
     adapt::AdaptiveOptions AO;
@@ -890,9 +860,14 @@ InvariantReport ppp::fuzz::checkModuleInvariants(const Module &M,
     return Rep; // Nothing downstream is meaningful on a broken module.
   }
 
-  CleanRun Clean = runClean(M, Fuel, Rep);
-  if (!Clean.Ok)
+  InterpOptions IO;
+  IO.Fuel = Fuel;
+  CleanProfile Clean = profileClean(M, IO);
+  ++Rep.ChecksRun;
+  if (Clean.Res.FuelExhausted) {
+    Rep.fail("terminates", "clean run exhausted fuel");
     return Rep;
+  }
 
   checkRoundTrips(M, Clean, Rep);
   checkDefiniteFlowBound(M, Clean, Rep);

@@ -26,8 +26,7 @@
 #include "opt/Inliner.h"
 #include "opt/Unroller.h"
 #include "pathprof/Profilers.h"
-#include "profile/EdgeProfile.h"
-#include "profile/PathProfile.h"
+#include "profile/Collectors.h"
 
 #include <cstdint>
 #include <deque>
@@ -68,22 +67,12 @@ private:
   std::set<FuncId> Modified;
 };
 
-/// One clean profiling run of the module at some pipeline point: the
-/// edge profile (the advice), the oracle path profile, and the run's
-/// cost/instruction counts under the cost model the profile pass used.
-struct ProfileSnapshot {
-  EdgeProfile EP;
-  PathProfile Oracle;
-  uint64_t Cost = 0;
-  uint64_t DynInstrs = 0;
-
-  ProfileSnapshot() : Oracle(0) {}
-};
-
 /// Pipeline-wide inputs and accumulating outputs, owned by the driver
-/// and threaded through every pass. Profile snapshots live in a deque
-/// so their addresses stay stable: the analysis manager keeps a pointer
-/// to the newest snapshot's edge profile as its advice.
+/// and threaded through every pass. Each profile pass's clean run (the
+/// edge profile is the advice; the run's cost and instruction counts
+/// are under the cost model the pass used) lives in a deque so its
+/// address stays stable: the analysis manager keeps a pointer to the
+/// newest run's edge profile as its advice.
 struct PassContext {
   // Inputs.
   CostModel StdCosts;         ///< Intermediate "profile" runs.
@@ -93,7 +82,7 @@ struct PassContext {
   UnrollerOptions UnrollOpts;
 
   // Outputs.
-  std::deque<ProfileSnapshot> Profiles; ///< One per profile pass, in order.
+  std::deque<CleanProfile> Profiles; ///< One per profile pass, in order.
   InlineStats Inline;
   UnrollStats Unroll;
   std::unique_ptr<InstrumentationResult> Instr; ///< From an instrument pass.

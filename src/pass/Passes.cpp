@@ -2,7 +2,6 @@
 
 #include "pass/Passes.h"
 
-#include "interp/Interpreter.h"
 #include "ir/Verifier.h"
 #include "pass/AnalysisManager.h"
 #include "profile/Collectors.h"
@@ -12,26 +11,16 @@ using namespace ppp;
 
 PreservedAnalyses ProfilePass::run(Module &M, FunctionAnalysisManager &FAM,
                                    PassContext &Ctx) {
-  EdgeProfiler EdgeObs(M);
-  PathTracer PathObs(M);
   InterpOptions IO;
   IO.Costs = UseBenchCosts ? Ctx.BenchCosts : Ctx.StdCosts;
-  Interpreter I(M, IO);
-  I.addObserver(&EdgeObs);
-  I.addObserver(&PathObs);
-  RunResult Res = I.run();
-  if (Res.FuelExhausted) {
+  CleanProfile P = profileClean(M, IO);
+  if (P.Res.FuelExhausted) {
     Ctx.Error = formatString("%s did not terminate", M.Name.c_str());
     return PreservedAnalyses::all();
   }
-  Ctx.Profiles.emplace_back();
-  ProfileSnapshot &S = Ctx.Profiles.back();
-  S.EP = EdgeObs.takeProfile();
-  S.Oracle = PathObs.takeProfile();
-  S.Cost = Res.Cost;
-  S.DynInstrs = Res.DynInstrs;
+  Ctx.Profiles.push_back(std::move(P));
   // The deque never shrinks, so the address stays valid pipeline-wide.
-  FAM.setAdvice(&S.EP);
+  FAM.setAdvice(&Ctx.Profiles.back().EP);
   return PreservedAnalyses::all();
 }
 

@@ -20,12 +20,11 @@
 
 namespace ppp {
 
-/// Runs the module clean (no instrumentation) with an edge profiler and
-/// the oracle path tracer attached, appends the resulting
-/// ProfileSnapshot to Ctx.Profiles, and rebinds the analysis manager's
-/// advice to the new edge profile. "profile" runs under Ctx.StdCosts,
-/// "profile<bench>" under Ctx.BenchCosts (the final self-advice run of
-/// the preparation pipeline).
+/// Runs the module clean (profileClean: edge profiler and oracle path
+/// tracer attached), appends the result to Ctx.Profiles, and rebinds
+/// the analysis manager's advice to the new edge profile. "profile"
+/// runs under Ctx.StdCosts, "profile<bench>" under Ctx.BenchCosts (the
+/// final self-advice run of the preparation pipeline).
 class ProfilePass : public ModulePass {
 public:
   explicit ProfilePass(bool UseBenchCosts) : UseBenchCosts(UseBenchCosts) {}

@@ -17,15 +17,10 @@ constexpr uint32_t ModuleMagic = 0x4d505062;      // 'bPPM'
 constexpr uint32_t EdgeProfileMagic = 0x45505062; // 'bPPE'
 constexpr uint32_t PathProfileMagic = 0x50505062; // 'bPPP'
 
-/// Wraps \p Payload in the common frame.
-std::string frame(uint32_t Magic, const std::string &Payload) {
-  return frameMessage(Magic, Payload);
-}
+} // namespace
 
-/// Verifies the frame of \p Data and returns the payload view through
-/// \p Payload (pointing into \p Data). On failure sets \p Error.
-bool unframe(uint32_t Magic, const char *What, const std::string &Data,
-             BinReader &Payload, std::string &Error) {
+bool ppp::unframe(uint32_t Magic, const char *What, const std::string &Data,
+                  BinReader &Payload, std::string &Error) {
   BinReader R(Data);
   uint32_t M = R.u32();
   uint32_t V = R.u32();
@@ -54,8 +49,6 @@ bool unframe(uint32_t Magic, const char *What, const std::string &Data,
   Payload = BinReader(Body, static_cast<size_t>(Size));
   return true;
 }
-
-} // namespace
 
 std::string ppp::frameMessage(uint32_t Magic, const std::string &Payload) {
   std::string Out;
@@ -184,7 +177,7 @@ std::string ppp::writeModuleBinary(const Module &M) {
       }
     }
   }
-  return frame(ModuleMagic, Payload);
+  return frameMessage(ModuleMagic, Payload);
 }
 
 bool ppp::readModuleBinary(const std::string &Data, Module &Out,
@@ -290,7 +283,7 @@ std::string ppp::writeEdgeProfileBinary(const Module &M,
     for (int64_t Freq : FP.EdgeFreq)
       W.i64(Freq);
   }
-  return frame(EdgeProfileMagic, Payload);
+  return frameMessage(EdgeProfileMagic, Payload);
 }
 
 bool ppp::readEdgeProfileBinary(const Module &M, const std::string &Data,
@@ -354,7 +347,7 @@ std::string ppp::writePathProfileBinary(const Module &M,
         W.i32(E);
     }
   }
-  return frame(PathProfileMagic, Payload);
+  return frameMessage(PathProfileMagic, Payload);
 }
 
 bool ppp::readPathProfileBinary(const Module &M, const std::string &Data,

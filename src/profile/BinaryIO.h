@@ -3,9 +3,8 @@
 /// \file
 /// Versioned, checksummed, endian-stable binary serialization for
 /// modules and for edge/path profiles -- the persistence layer behind
-/// the prepare-once experiment pipeline (bench/PrepCache). The text
-/// format in ProfileIO stays for human inspection; this format exists
-/// to make cross-process reuse cheap and safe.
+/// the prepare-once experiment pipeline (bench/PrepCache), which makes
+/// cross-process reuse cheap and safe.
 ///
 /// Every blob is framed the same way:
 ///
@@ -30,6 +29,7 @@
 #include "ir/Module.h"
 #include "profile/EdgeProfile.h"
 #include "profile/PathProfile.h"
+#include "support/BinStream.h"
 
 #include <cstdint>
 #include <string>
@@ -46,6 +46,13 @@ inline constexpr uint32_t BinaryFormatVersion = 1;
 /// message uses this one framing, so FrameReader below can carry any of
 /// them.
 std::string frameMessage(uint32_t Magic, const std::string &Payload);
+
+/// Verifies one whole frameMessage() blob in \p Data (magic \p Magic,
+/// this build's format version, exact size, checksum) and points
+/// \p Payload at its payload inside \p Data. On failure sets \p Error,
+/// prefixed with \p What, and returns false.
+bool unframe(uint32_t Magic, const char *What, const std::string &Data,
+             BinReader &Payload, std::string &Error);
 
 /// Incremental decoder for a byte stream of frames, built for transports
 /// that deliver data in arbitrary pieces (socket reads, pipes). Feed

@@ -4,6 +4,19 @@
 
 using namespace ppp;
 
+CleanProfile ppp::profileClean(const Module &M, const InterpOptions &IO) {
+  CleanProfile Out;
+  EdgeProfiler EdgeObs(M);
+  PathTracer PathObs(M);
+  Interpreter I(M, IO);
+  I.addObserver(&EdgeObs);
+  I.addObserver(&PathObs);
+  Out.Res = I.run();
+  Out.EP = EdgeObs.takeProfile();
+  Out.Oracle = PathObs.takeProfile();
+  return Out;
+}
+
 EdgeProfiler::EdgeProfiler(const Module &M) {
   Views.reserve(M.numFunctions());
   Profile.Funcs.resize(M.numFunctions());

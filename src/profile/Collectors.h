@@ -9,8 +9,12 @@
 ///    returns), giving exact ground-truth path frequencies that the
 ///    accuracy/coverage metrics compare estimated profiles against.
 ///
-/// Both own their CfgViews, so the observed Module must outlive them and
-/// must not be mutated while attached.
+/// profileClean() is the one clean observed run every profiling
+/// pipeline starts from: both observers attached, one run, the
+/// profiles and the run's result handed back together.
+///
+/// Both observers own their CfgViews, so the observed Module must
+/// outlive them and must not be mutated while attached.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -71,6 +75,21 @@ private:
   std::vector<TraceFrame> Stack;
   PathProfile Profile;
 };
+
+/// What one clean observed run produced.
+struct CleanProfile {
+  EdgeProfile EP;
+  PathProfile Oracle;
+  RunResult Res;
+
+  CleanProfile() : Oracle(0) {}
+};
+
+/// Runs \p M once under \p IO with an EdgeProfiler and a PathTracer
+/// attached. On a hang Res.FuelExhausted is set and the profiles hold
+/// whatever was observed before fuel ran out; callers check it.
+CleanProfile profileClean(const Module &M,
+                          const InterpOptions &IO = InterpOptions());
 
 } // namespace ppp
 

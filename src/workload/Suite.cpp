@@ -234,6 +234,13 @@ std::vector<BenchmarkSpec> ppp::spec2000Suite() {
   return Suite;
 }
 
+std::optional<BenchmarkSpec> ppp::findBenchmark(const std::string &Name) {
+  for (BenchmarkSpec &S : spec2000Suite())
+    if (S.Name == Name)
+      return std::move(S);
+  return std::nullopt;
+}
+
 Module ppp::buildCalibrated(const BenchmarkSpec &Spec) {
   // Measure the per-iteration cost of main's driver loop with a small
   // trip count, then scale to the target. One refinement pass absorbs

@@ -20,6 +20,7 @@
 
 #include "workload/Generator.h"
 
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -38,6 +39,9 @@ struct BenchmarkSpec {
 
 /// The 18 benchmark recipes in the paper's order (INT then FP).
 std::vector<BenchmarkSpec> spec2000Suite();
+
+/// The suite recipe named \p Name, or nullopt when there is none.
+std::optional<BenchmarkSpec> findBenchmark(const std::string &Name);
 
 /// Generates \p Spec's module with main's driver loop scaled so a clean
 /// run lands near TargetDynInstrs.

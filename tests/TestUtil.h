@@ -24,29 +24,15 @@ namespace ppp {
 namespace testutil {
 
 /// Result of a clean profiling run.
-struct ProfiledRun {
-  EdgeProfile EP;
-  PathProfile Oracle;
-  RunResult Res;
+using ProfiledRun = CleanProfile;
 
-  ProfiledRun() : Oracle(0) {}
-};
-
-/// Runs \p M once, collecting edge profile and oracle path profile.
+/// profileClean() under \p Fuel, expecting the module to terminate.
 inline ProfiledRun profileModule(const Module &M,
                                  uint64_t Fuel = 200'000'000) {
-  ProfiledRun Out;
-  EdgeProfiler EdgeObs(M);
-  PathTracer PathObs(M);
   InterpOptions IO;
   IO.Fuel = Fuel;
-  Interpreter I(M, IO);
-  I.addObserver(&EdgeObs);
-  I.addObserver(&PathObs);
-  Out.Res = I.run();
+  ProfiledRun Out = profileClean(M, IO);
   EXPECT_FALSE(Out.Res.FuelExhausted) << "module did not terminate";
-  Out.EP = EdgeObs.takeProfile();
-  Out.Oracle = PathObs.takeProfile();
   return Out;
 }
 

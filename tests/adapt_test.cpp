@@ -3,6 +3,7 @@
 #include "adapt/AdaptiveSession.h"
 #include "ir/IRBuilder.h"
 #include "ir/Verifier.h"
+#include "profile/Collectors.h"
 
 #include "gtest/gtest.h"
 
@@ -124,7 +125,7 @@ TEST(Adaptive, PresetKeepsCountersLive) {
 TEST(Adaptive, PicksHotFunctionLeavesColdAlone) {
   HotCold T = buildHotColdModule();
   InterpOptions IO;
-  EdgeProfile Advice = adapt::AdaptiveSession::collectAdvice(T.M, IO);
+  EdgeProfile Advice = profileClean(T.M, IO).EP;
 
   adapt::AdaptiveOptions AO = testOptions();
   // Disable inlining so main's specialized version cannot absorb the
@@ -157,7 +158,7 @@ TEST(Adaptive, PicksHotFunctionLeavesColdAlone) {
 TEST(Adaptive, AdviceIsScopedToOneFunction) {
   HotCold T = buildHotColdModule();
   InterpOptions IO;
-  EdgeProfile Advice = adapt::AdaptiveSession::collectAdvice(T.M, IO);
+  EdgeProfile Advice = profileClean(T.M, IO).EP;
   std::unique_ptr<adapt::AdaptiveSession> S =
       adapt::AdaptiveSession::create(T.M, Advice, IO, testOptions());
   S->run();
@@ -209,7 +210,7 @@ private:
 TEST(Adaptive, RevertsRegressingVersionAndNeverRetries) {
   HotCold T = buildHotColdModule();
   InterpOptions IO;
-  EdgeProfile Advice = adapt::AdaptiveSession::collectAdvice(T.M, IO);
+  EdgeProfile Advice = profileClean(T.M, IO).EP;
 
   // The session wires its own controller, so stand the stack up by
   // hand around the bad-version subclass (buildVersion is virtual for

@@ -2,6 +2,7 @@
 
 #include "TestUtil.h"
 
+#include "metrics/Metrics.h"
 #include "profile/BinaryIO.h"
 
 #include <string>
@@ -91,6 +92,8 @@ TEST(EdgeProfileBinary, RejectsWrongModuleAndCorruption) {
   std::string Bad = Blob;
   Bad[Bad.size() / 2] = static_cast<char>(Bad[Bad.size() / 2] ^ 0xff);
   EXPECT_FALSE(readEdgeProfileBinary(M, Bad, Back, Error));
+  EXPECT_FALSE(readEdgeProfileBinary(M, "", Back, Error));
+  EXPECT_FALSE(readEdgeProfileBinary(M, "garbage\n" + Blob, Back, Error));
 }
 
 TEST(PathProfileBinary, RoundTripPreservesCountsAndAttributes) {
@@ -114,6 +117,9 @@ TEST(PathProfileBinary, RoundTripPreservesCountsAndAttributes) {
       EXPECT_EQ(R->Instrs, Rec.Instrs);
     }
   }
+  // The read-back oracle is a perfect estimate of itself.
+  EXPECT_DOUBLE_EQ(
+      computeAccuracy(Clean.Oracle, Back, FlowMetric::Branch).Accuracy, 1.0);
 }
 
 TEST(PathProfileBinary, RejectsWrongModuleAndCorruption) {
@@ -130,6 +136,27 @@ TEST(PathProfileBinary, RejectsWrongModuleAndCorruption) {
     EXPECT_FALSE(readPathProfileBinary(M, Bad, Back, Error))
         << "flip at " << Pos;
   }
+
+  // A well-framed blob whose path edges do not chain: the structure
+  // check, not the checksum, must reject it.
+  PathProfile Broken = Clean.Oracle;
+  bool Mutated = false;
+  for (size_t F = 0; F < Broken.Funcs.size() && !Mutated; ++F) {
+    if (Broken.Funcs[F].Paths.empty())
+      continue;
+    PathKey &Key = Broken.Funcs[F].Paths.front().Key;
+    CfgView Cfg(M.function(static_cast<FuncId>(F)));
+    for (unsigned E = 0; E < Cfg.numEdges() && !Mutated; ++E)
+      if (Cfg.edge(static_cast<int>(E)).Src != Key.First) {
+        Key.EdgeIds = {static_cast<int>(E)};
+        Mutated = true;
+      }
+  }
+  ASSERT_TRUE(Mutated);
+  EXPECT_FALSE(readPathProfileBinary(M, writePathProfileBinary(M, Broken),
+                                     Back, Error));
+  EXPECT_NE(Error.find("does not continue the path"), std::string::npos)
+      << Error;
 }
 
 TEST(BinaryFrames, FormatsAreDistinguished) {

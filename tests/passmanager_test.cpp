@@ -230,7 +230,7 @@ TEST(PassManager, PreparePipelineCollectsProfilesAndRebindsAdvice) {
   EXPECT_EQ(FAM.advice(), &Ctx.Profiles.back().EP);
   EXPECT_EQ(verifyModule(M), "");
   // The first snapshot profiled the pre-expansion module.
-  EXPECT_GT(Ctx.Profiles.front().Cost, 0u);
+  EXPECT_GT(Ctx.Profiles.front().Res.Cost, 0u);
 }
 
 TEST(PassManager, TransformPassRequiresAdvice) {

@@ -77,6 +77,7 @@ void expectEqualPrepared(const PreparedBenchmark &A,
   EXPECT_EQ(A.CostOrig, B.CostOrig);
   EXPECT_EQ(A.CostBase, B.CostBase);
   EXPECT_EQ(A.DynInstrs, B.DynInstrs);
+  EXPECT_EQ(A.DynInstrsOrig, B.DynInstrsOrig);
   EXPECT_EQ(A.Oracle.totalFreq(), B.Oracle.totalFreq());
   EXPECT_EQ(A.Oracle.distinctPaths(), B.Oracle.distinctPaths());
   EXPECT_EQ(A.Oracle.totalFlow(FlowMetric::Branch),

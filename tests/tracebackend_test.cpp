@@ -7,7 +7,9 @@
 /// clean run, the framed binary form round-trips and rejects corrupt
 /// bytes, and -- the core promise -- decoding a recording reconstructs
 /// counters bit-identical to running the instrumented module over the
-/// counter runtime, sequentially and at any parallel job count.
+/// counter runtime, sequentially and at any parallel job count, and
+/// collect() picks between the two backends without changing the
+/// counts.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -15,6 +17,7 @@
 
 #include "interp/Interpreter.h"
 #include "pathprof/Profilers.h"
+#include "trace/Collect.h"
 #include "trace/PathTiming.h"
 #include "trace/TraceDecoder.h"
 #include "trace/TraceIO.h"
@@ -24,6 +27,7 @@
 #include "gtest/gtest.h"
 
 #include <cstdlib>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -643,6 +647,82 @@ TEST(TraceBackend, TimedDecodeRejectsCostModelMismatch) {
   EXPECT_FALSE(Dec.decode(Anon, RT2, DS, Err, &Timing));
   EXPECT_FALSE(Err.empty());
   EXPECT_EQ(Err.find("cost-model key"), std::string::npos) << Err;
+}
+
+/// collect() dispatches on the plan's backend: under trace and
+/// trace+time it must fill a runtime equal, table by table, to the one
+/// the counter backend fills under ppp (the same plan), and report the
+/// recording run's cost -- exactly a hand-wired recorder run's, and
+/// never the counter run's.
+TEST(Collect, TraceBackendsFillTheCounterBackendsTables) {
+  for (const char *Name : {"vpr", "perlbmk", "crafty"}) {
+    std::optional<BenchmarkSpec> Spec = findBenchmark(Name);
+    ASSERT_TRUE(Spec) << Name;
+    PreparedBenchmark B = prepare(*Spec);
+    InterpOptions IO;
+    IO.Costs = B.Costs;
+
+    InstrumentationResult CounterIR =
+        instrumentModule(B.Expanded, B.EP, ProfilerOptions::ppp());
+    ProfileRuntime Want = CounterIR.makeRuntime();
+    RunResult CounterRes;
+    std::string Err;
+    ASSERT_TRUE(collect(B.Expanded, CounterIR, IO, Want, CounterRes, Err))
+        << Name << ": " << Err;
+
+    for (const ProfilerOptions &Opts :
+         {ProfilerOptions::trace(), ProfilerOptions::traceTimed()}) {
+      InstrumentationResult IR = instrumentModule(B.Expanded, B.EP, Opts);
+      ProfileRuntime RT = IR.makeRuntime();
+      RunResult Res;
+      PathTimingProfile Timing;
+      ASSERT_TRUE(collect(B.Expanded, IR, IO, RT, Res, Err, &Timing))
+          << Name << " " << Opts.Name << ": " << Err;
+
+      ASSERT_EQ(RT.numFunctions(), Want.numFunctions());
+      for (unsigned FI = 0; FI < RT.numFunctions(); ++FI) {
+        FuncId F = static_cast<FuncId>(FI);
+        const PathTable &Got = RT.table(F), &Ref = Want.table(F);
+        EXPECT_EQ(RT.collectCounts(F), Want.collectCounts(F))
+            << Name << " " << Opts.Name << " f" << FI;
+        EXPECT_EQ(Got.lostCount(), Ref.lostCount()) << Name << " f" << FI;
+        EXPECT_EQ(Got.coldCheckedCount(), Ref.coldCheckedCount())
+            << Name << " f" << FI;
+        EXPECT_EQ(Got.invalidCount(), Ref.invalidCount())
+            << Name << " f" << FI;
+      }
+      EXPECT_EQ(Timing.totalCost() != 0, Opts.TraceTimestamps)
+          << Name << " " << Opts.Name;
+
+      Interpreter I(B.Expanded, IO);
+      TraceRecorder Rec(DefaultTraceChunkBytes, Opts.TraceTimestamps);
+      I.setTraceRecorder(&Rec);
+      RunResult Hand = I.run();
+      EXPECT_EQ(Res.Cost, Hand.Cost) << Name << " " << Opts.Name;
+      EXPECT_EQ(Res.DynInstrs, Hand.DynInstrs) << Name << " " << Opts.Name;
+      EXPECT_NE(Res.Cost, CounterRes.Cost) << Name << " " << Opts.Name;
+    }
+  }
+}
+
+/// A run that exhausts its fuel fails collect() with a message under
+/// either backend; it never exits.
+TEST(Collect, HungRunReturnsFalseWithError) {
+  PreparedBenchmark B = prepare(*findBenchmark("vpr"));
+  InterpOptions IO;
+  IO.Costs = B.Costs;
+  IO.Fuel = 1000;
+  for (const ProfilerOptions &Opts :
+       {ProfilerOptions::ppp(), ProfilerOptions::trace(),
+        ProfilerOptions::traceTimed()}) {
+    InstrumentationResult IR = instrumentModule(B.Expanded, B.EP, Opts);
+    ProfileRuntime RT = IR.makeRuntime();
+    RunResult Res;
+    std::string Err;
+    EXPECT_FALSE(collect(B.Expanded, IR, IO, RT, Res, Err)) << Opts.Name;
+    EXPECT_TRUE(Res.FuelExhausted) << Opts.Name;
+    EXPECT_NE(Err.find("hung"), std::string::npos) << Opts.Name << ": " << Err;
+  }
 }
 
 } // namespace

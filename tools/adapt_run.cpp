@@ -114,11 +114,7 @@ int main(int argc, char **argv) {
     return 2;
   }
 
-  const BenchmarkSpec *Spec = nullptr;
-  std::vector<BenchmarkSpec> Suite = spec2000Suite();
-  for (const BenchmarkSpec &S : Suite)
-    if (S.Name == Bench)
-      Spec = &S;
+  std::optional<BenchmarkSpec> Spec = findBenchmark(Bench);
   if (!Spec) {
     std::fprintf(stderr, "error: unknown benchmark '%s'\n", Bench.c_str());
     return 1;

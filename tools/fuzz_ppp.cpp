@@ -125,33 +125,19 @@ bool parseArgs(int Argc, char **Argv, CliOptions &O) {
   return true;
 }
 
-/// Collects the clean profiles of \p M for frame fault injection.
-bool collectProfiles(const Module &M, uint64_t Fuel, EdgeProfile &EP,
-                     PathProfile &Oracle) {
-  EdgeProfiler EdgeObs(M);
-  PathTracer PathObs(M);
-  InterpOptions IO;
-  IO.Fuel = Fuel;
-  Interpreter I(M, IO);
-  I.addObserver(&EdgeObs);
-  I.addObserver(&PathObs);
-  if (I.run().FuelExhausted)
-    return false;
-  EP = EdgeObs.takeProfile();
-  Oracle = PathObs.takeProfile();
-  return true;
-}
-
 /// Fault-injects every framed format derived from (Seed, Shape).
 /// Returns the number of contract violations (0 = all mutants handled
 /// cleanly).
 unsigned runFaultPass(uint64_t Seed, const FuzzShape &Shape, uint64_t Fuel,
                       bool Quiet) {
   Module M = generateAdversarialModule(Seed, Shape);
-  EdgeProfile EP;
-  PathProfile Oracle(0);
-  if (!collectProfiles(M, Fuel, EP, Oracle))
+  InterpOptions IO;
+  IO.Fuel = Fuel;
+  CleanProfile Clean = profileClean(M, IO);
+  if (Clean.Res.FuelExhausted)
     return 1;
+  const EdgeProfile &EP = Clean.EP;
+  const PathProfile &Oracle = Clean.Oracle;
 
   Rng R(Seed ^ 0xfa017ULL);
   unsigned Violations = 0;
@@ -202,8 +188,6 @@ unsigned runFaultPass(uint64_t Seed, const FuzzShape &Shape, uint64_t Fuel,
   // decode into a runtime whose totals the decoder itself validated.
   trace::TraceRecorder TRec(256);
   {
-    InterpOptions IO;
-    IO.Fuel = Fuel;
     Interpreter I(M, IO);
     I.setTraceRecorder(&TRec);
     if (I.run().FuelExhausted)
@@ -234,8 +218,6 @@ unsigned runFaultPass(uint64_t Seed, const FuzzShape &Shape, uint64_t Fuel,
   // contract violation reported like any other.
   trace::TraceRecorder TimedRec(256, /*Timestamps=*/true);
   {
-    InterpOptions IO;
-    IO.Fuel = Fuel;
     Interpreter I(M, IO);
     I.setTraceRecorder(&TimedRec);
     if (I.run().FuelExhausted)

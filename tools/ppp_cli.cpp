@@ -1,32 +1,29 @@
 //===- tools/ppp_cli.cpp - Command-line driver ---------------------------------===//
 ///
-/// A small CLI over the library, for poking at the system without
-/// writing C++:
+/// A small CLI over the experiment harness, for poking at the system
+/// without writing C++:
 ///
 ///   ppp_cli list
 ///       The benchmark suite with its recipe classes.
-///   ppp_cli run <bench> [--profiler=pp|tpp|tpp-checked|ppp|<spec>]
-///                       [--no-expand] [--paths=N] [--seed=S]
-///       <spec> is a full profiler spec as understood by
-///       parseProfilerSpec, e.g. "ppp;+kiter2" or "tpp;+sac".
-///       Generate + calibrate <bench>, apply the paper's methodology
-///       (inline + unroll unless --no-expand), instrument, run, and
-///       print metrics plus the hottest measured paths.
+///   ppp_cli run <bench> [--profiler=<spec>] [--no-expand] [--paths=N]
+///                       [--seed=S]
+///       <spec> is any profiler spec parseProfilerSpec accepts, from a
+///       preset (pp, tpp, tpp-checked, ppp, trace, trace+time) to one
+///       with technique toggles, e.g. "ppp;+kiter2" or "tpp;+sac".
+///       Prepares <bench> the way every experiment does (bench::prepare,
+///       through the preparation cache), profiles it with
+///       bench::runProfiler, and prints metrics plus the hottest
+///       measured paths. --no-expand profiles the original code instead
+///       of the inlined+unrolled code.
 ///   ppp_cli dump <bench> [--expanded]
 ///       Print the benchmark's IR.
 ///
 //===----------------------------------------------------------------------===//
 
-#include "interp/Interpreter.h"
+#include "Harness.h"
+
 #include "ir/Printer.h"
-#include "ir/Verifier.h"
-#include "metrics/Metrics.h"
-#include "opt/Inliner.h"
-#include "opt/Unroller.h"
 #include "pass/Pipeline.h"
-#include "pathprof/EstimatedProfile.h"
-#include "profile/Collectors.h"
-#include "workload/Suite.h"
 
 #include <algorithm>
 #include <cstdio>
@@ -35,36 +32,9 @@
 #include <string>
 
 using namespace ppp;
+using namespace ppp::bench;
 
 namespace {
-
-struct CleanRun {
-  EdgeProfile EP;
-  PathProfile Oracle;
-  RunResult Res;
-
-  CleanRun() : Oracle(0) {}
-};
-
-CleanRun profileOnce(const Module &M) {
-  CleanRun Out;
-  EdgeProfiler EO(M);
-  PathTracer PT(M);
-  Interpreter I(M);
-  I.addObserver(&EO);
-  I.addObserver(&PT);
-  Out.Res = I.run();
-  Out.EP = EO.takeProfile();
-  Out.Oracle = PT.takeProfile();
-  return Out;
-}
-
-std::optional<BenchmarkSpec> findBench(const std::string &Name) {
-  for (const BenchmarkSpec &S : spec2000Suite())
-    if (S.Name == Name)
-      return S;
-  return std::nullopt;
-}
 
 int usage() {
   fprintf(stderr,
@@ -84,21 +54,20 @@ int cmdList() {
   return 0;
 }
 
-Module buildExpanded(const BenchmarkSpec &Spec, bool Expand) {
-  Module M = buildCalibrated(Spec);
-  if (!Expand)
-    return M;
-  CleanRun P0 = profileOnce(M);
-  if (Spec.AllowInlining)
-    runInliner(M, P0.EP);
-  CleanRun P1 = profileOnce(M);
-  runUnroller(M, P1.EP);
-  return M;
+/// \p B with its original code in the expanded code's place, so
+/// runProfiler() profiles the original.
+PreparedBenchmark originalSide(PreparedBenchmark B) {
+  B.Expanded = std::move(B.Original);
+  B.EP = std::move(B.EPOrig);
+  B.Oracle = std::move(B.OracleOrig);
+  B.CostBase = B.CostOrig;
+  B.DynInstrs = B.DynInstrsOrig;
+  return B;
 }
 
 int cmdRun(const std::string &Bench, const std::string &Profiler,
            bool Expand, unsigned TopPaths, std::optional<uint64_t> Seed) {
-  std::optional<BenchmarkSpec> Spec = findBench(Bench);
+  std::optional<BenchmarkSpec> Spec = findBenchmark(Bench);
   if (!Spec) {
     fprintf(stderr, "error: unknown benchmark '%s' (try `ppp_cli list`)\n",
             Bench.c_str());
@@ -108,68 +77,43 @@ int cmdRun(const std::string &Bench, const std::string &Profiler,
     Spec->Params.Seed = *Seed;
 
   ProfilerOptions Opts;
-  if (Profiler == "pp")
-    Opts = ProfilerOptions::pp();
-  else if (Profiler == "tpp")
-    Opts = ProfilerOptions::tpp();
-  else if (Profiler == "tpp-checked")
-    Opts = ProfilerOptions::tppChecked();
-  else if (Profiler == "ppp")
-    Opts = ProfilerOptions::ppp();
-  else {
-    // Anything else is a full profiler spec, e.g. "ppp;+kiter2".
-    std::string Err;
-    if (!parseProfilerSpec(Profiler, Opts, Err)) {
-      fprintf(stderr, "error: %s\n", Err.c_str());
-      return 1;
-    }
-  }
-
-  Module M = buildExpanded(*Spec, Expand);
-  if (std::string E = verifyModule(M); !E.empty()) {
-    fprintf(stderr, "internal error: %s\n", E.c_str());
+  std::string Err;
+  if (!parseProfilerSpec(Profiler, Opts, Err)) {
+    fprintf(stderr, "error: %s\n", Err.c_str());
     return 1;
   }
-  CleanRun Base = profileOnce(M);
+
+  PreparedBenchmark B = prepare(*Spec);
+  if (!Expand)
+    B = originalSide(std::move(B));
   printf("%s (%s, %s): %llu dynamic instrs, %llu dynamic paths, "
          "%llu distinct\n",
          Bench.c_str(), Spec->IsFp ? "FP" : "INT",
          Expand ? "inlined+unrolled" : "original",
-         (unsigned long long)Base.Res.DynInstrs,
-         (unsigned long long)Base.Oracle.totalFreq(),
-         (unsigned long long)Base.Oracle.distinctPaths());
+         (unsigned long long)B.DynInstrs,
+         (unsigned long long)B.Oracle.totalFreq(),
+         (unsigned long long)B.Oracle.distinctPaths());
 
-  InstrumentationResult IR = instrumentModule(M, Base.EP, Opts);
+  ProfilerOutcome P = runProfiler(B, Opts);
+  const Module &M = B.Expanded;
   unsigned Instrumented = 0, Hashed = 0;
-  for (const FunctionPlan &P : IR.Plans) {
-    Instrumented += P.Instrumented;
-    Hashed += P.Instrumented && P.TableKind == PathTable::Kind::Hash;
+  for (const FunctionPlan &Plan : P.IR->Plans) {
+    Instrumented += Plan.Instrumented;
+    Hashed += Plan.Instrumented && Plan.TableKind == PathTable::Kind::Hash;
   }
   printf("profiler %s: %u/%u routines instrumented (%u hashed)\n",
          Opts.Name.c_str(), Instrumented, M.numFunctions(), Hashed);
-
-  ProfileRuntime RT = IR.makeRuntime();
-  Interpreter I(IR.Instrumented);
-  I.setProfileRuntime(&RT);
-  RunResult R = I.run();
-  ProfilerRunData Data = buildEstimatedProfile(M, Base.EP, IR, RT);
-  AccuracyResult Acc =
-      computeAccuracy(Base.Oracle, Data.Estimated, FlowMetric::Branch);
-  CoverageResult Cov =
-      computeProfilerCoverage(IR, Data, Base.Oracle, FlowMetric::Branch);
-  InstrumentedFraction Frac = computeInstrumentedFraction(IR, Base.Oracle);
-
-  printf("overhead      %.2f%%\n", overheadPercent(Base.Res.Cost, R.Cost));
+  printf("overhead      %.2f%%\n", P.OverheadPct);
   printf("accuracy      %.1f%%  (%zu hot paths carrying %.1f%% of flow)\n",
-         100 * Acc.Accuracy, Acc.NumHotPaths, 100 * Acc.HotFlowFraction);
+         100 * P.Acc.Accuracy, P.Acc.NumHotPaths, 100 * P.Acc.HotFlowFraction);
   printf("coverage      %.1f%%  (overcount penalty %llu)\n",
-         100 * Cov.Coverage, (unsigned long long)Cov.OvercountFlow);
+         100 * P.Cov.Coverage, (unsigned long long)P.Cov.OvercountFlow);
   printf("instrumented  %.1f%% of dynamic paths (%.1f%% hashed)\n",
-         100 * Frac.Total, 100 * Frac.Hashed);
+         100 * P.Frac.Total, 100 * P.Frac.Hashed);
   printf("cold counts   %llu, lost %llu, invalid %llu\n",
-         (unsigned long long)Data.ColdCounts,
-         (unsigned long long)Data.LostCounts,
-         (unsigned long long)Data.InvalidCounts);
+         (unsigned long long)P.Run.ColdCounts,
+         (unsigned long long)P.Run.LostCounts,
+         (unsigned long long)P.Run.InvalidCounts);
 
   // Hottest measured paths.
   struct Entry {
@@ -178,7 +122,7 @@ int cmdRun(const std::string &Bench, const std::string &Profiler,
   };
   std::vector<Entry> Hot;
   for (unsigned F = 0; F < M.numFunctions(); ++F)
-    for (const PathRecord &Rec : Data.Estimated.Funcs[F].Paths)
+    for (const PathRecord &Rec : P.Run.Estimated.Funcs[F].Paths)
       Hot.push_back({static_cast<FuncId>(F), &Rec});
   std::sort(Hot.begin(), Hot.end(), [](const Entry &A, const Entry &B) {
     return A.R->flow(FlowMetric::Branch) > B.R->flow(FlowMetric::Branch);
@@ -201,13 +145,13 @@ int cmdRun(const std::string &Bench, const std::string &Profiler,
 }
 
 int cmdDump(const std::string &Bench, bool Expanded) {
-  std::optional<BenchmarkSpec> Spec = findBench(Bench);
+  std::optional<BenchmarkSpec> Spec = findBenchmark(Bench);
   if (!Spec) {
     fprintf(stderr, "error: unknown benchmark '%s'\n", Bench.c_str());
     return 1;
   }
-  Module M = buildExpanded(*Spec, Expanded);
-  fputs(printModule(M).c_str(), stdout);
+  PreparedBenchmark B = prepare(*Spec);
+  fputs(printModule(Expanded ? B.Expanded : B.Original).c_str(), stdout);
   return 0;
 }
 

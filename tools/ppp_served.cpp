@@ -9,12 +9,13 @@
 ///       ended, then write the canonical aggregate dump and exit 0 iff
 ///       every session was clean.
 ///
-///   ppp_served client --port=P --bench=NAME [--profiler=ppp]
+///   ppp_served client --port=P --bench=NAME [--profiler=SPEC]
 ///                     [--name=ID] [--repeat=R]
-///       Prepare + instrument + run NAME, flatten the run to a counts
-///       message, and stream HELLO + R copies + BYE to the server.
+///       Prepare + instrument + run NAME under SPEC (any profiler spec
+///       parseProfilerSpec accepts; default ppp), flatten the run to a
+///       counts message, and stream HELLO + R copies + BYE to the server.
 ///
-///   ppp_served oracle --bench=NAME[,NAME...] [--profiler=ppp]
+///   ppp_served oracle --bench=NAME[,NAME...] [--profiler=SPEC]
 ///                     [--repeat=R] [--out=FILE]
 ///       The sequential ground truth: build the same messages, fold
 ///       them with mergeCounts in order, and write the same dump format
@@ -35,11 +36,12 @@
 
 #include "Harness.h"
 #include "Measure.h"
-#include "interp/Interpreter.h"
 #include "obs/Obs.h"
+#include "pass/Pipeline.h"
 #include "serve/Server.h"
 #include "serve/Transport.h"
 #include "support/Format.h"
+#include "trace/Collect.h"
 
 #include <algorithm>
 #include <atomic>
@@ -105,23 +107,22 @@ int usage() {
   fprintf(stderr,
           "usage: ppp_served serve --expect=K [--port=P] [--shards=N]"
           " [--cells=N] [--probes=N] [--dump=FILE] [--decay-ms=MS]\n"
-          "       ppp_served client --port=P --bench=NAME [--profiler=pp|tpp|"
-          "tpp-checked|ppp] [--name=ID] [--repeat=R]\n"
-          "       ppp_served oracle --bench=NAME[,NAME...] [--profiler=...]"
+          "       ppp_served client --port=P --bench=NAME [--profiler=SPEC]"
+          " [--name=ID] [--repeat=R]\n"
+          "       ppp_served oracle --bench=NAME[,NAME...] [--profiler=SPEC]"
           " [--repeat=R] [--out=FILE]\n"
           "       ppp_served bench [--out=FILE]\n");
   return 2;
 }
 
-std::optional<ProfilerOptions> profilerByName(const std::string &Name) {
-  if (Name == "pp")
-    return ProfilerOptions::pp();
-  if (Name == "tpp")
-    return ProfilerOptions::tpp();
-  if (Name == "tpp-checked")
-    return ProfilerOptions::tppChecked();
-  if (Name == "ppp")
-    return ProfilerOptions::ppp();
+/// parseProfilerSpec with this tool's error text and exit code.
+std::optional<ProfilerOptions> parseProfiler(const std::string &Spec) {
+  ProfilerOptions O;
+  std::string Error;
+  if (parseProfilerSpec(Spec, O, Error))
+    return O;
+  fprintf(stderr, "error: unknown profiler '%s': %s\n", Spec.c_str(),
+          Error.c_str());
   return std::nullopt;
 }
 
@@ -139,14 +140,11 @@ std::vector<std::string> splitList(const std::string &S) {
   return Out;
 }
 
-/// Prepares \p BenchName, instruments it with \p Prof, runs the
-/// instrumented module, and flattens the run. Exits on unknown names.
+/// Prepares \p BenchName, profiles one run of it with \p Prof
+/// (trace::collect), and flattens the run. Exits on unknown names.
 CountsMessage buildRunMessage(const std::string &BenchName,
                               const ProfilerOptions &Prof) {
-  std::optional<BenchmarkSpec> Spec;
-  for (const BenchmarkSpec &S : spec2000Suite())
-    if (S.Name == BenchName)
-      Spec = S;
+  std::optional<BenchmarkSpec> Spec = findBenchmark(BenchName);
   if (!Spec) {
     fprintf(stderr, "error: unknown benchmark '%s'\n", BenchName.c_str());
     exit(2);
@@ -156,11 +154,10 @@ CountsMessage buildRunMessage(const std::string &BenchName,
   ProfileRuntime RT = IR.makeRuntime();
   InterpOptions IO;
   IO.Costs = B.Costs;
-  Interpreter I(IR.Instrumented, IO);
-  I.setProfileRuntime(&RT);
-  RunResult Res = I.run();
-  if (Res.FuelExhausted) {
-    fprintf(stderr, "error: instrumented %s hung\n", BenchName.c_str());
+  RunResult Res;
+  std::string Error;
+  if (!trace::collect(B.Expanded, IR, IO, RT, Res, Error)) {
+    fprintf(stderr, "error: %s: %s\n", BenchName.c_str(), Error.c_str());
     exit(1);
   }
   return countsFromRun(BenchName, IR, RT, &B.EP);
@@ -262,11 +259,9 @@ int cmdClient(Flags &F) {
     fprintf(stderr, "error: client requires --port and --bench\n");
     return 2;
   }
-  std::optional<ProfilerOptions> Prof = profilerByName(ProfName);
-  if (!Prof) {
-    fprintf(stderr, "error: unknown profiler '%s'\n", ProfName.c_str());
+  std::optional<ProfilerOptions> Prof = parseProfiler(ProfName);
+  if (!Prof)
     return 2;
-  }
 
   CountsMessage M = buildRunMessage(Bench, *Prof);
   std::string CountsFrame = writeCountsBinary(M);
@@ -310,11 +305,9 @@ int cmdOracle(Flags &F) {
     fprintf(stderr, "error: oracle requires --bench\n");
     return 2;
   }
-  std::optional<ProfilerOptions> Prof = profilerByName(ProfName);
-  if (!Prof) {
-    fprintf(stderr, "error: unknown profiler '%s'\n", ProfName.c_str());
+  std::optional<ProfilerOptions> Prof = parseProfiler(ProfName);
+  if (!Prof)
     return 2;
-  }
 
   // Fold each benchmark's repeats sequentially -- the ground truth the
   // server's concurrent sharded merge must match byte-for-byte. A

@@ -37,6 +37,7 @@
 
 #include "interp/Interpreter.h"
 #include "pass/Pipeline.h"
+#include "trace/Collect.h"
 #include "trace/PathTiming.h"
 #include "trace/TraceDecoder.h"
 #include "trace/TraceIO.h"
@@ -82,9 +83,8 @@ bool readFile(const std::string &Path, std::string &Data) {
 }
 
 BenchmarkSpec findBench(const std::string &Name) {
-  for (const BenchmarkSpec &Spec : spec2000Suite())
-    if (Spec.Name == Name)
-      return Spec;
+  if (std::optional<BenchmarkSpec> Spec = findBenchmark(Name))
+    return *Spec;
   std::fprintf(stderr, "error: unknown benchmark '%s'; pick one of:",
                Name.c_str());
   for (const BenchmarkSpec &Spec : spec2000Suite())
@@ -300,12 +300,15 @@ int main(int Argc, char **Argv) {
   ProfileRuntime RT = IR.makeRuntime();
 
   if (Cmd == "counter") {
+    // Always the counter backend, whatever --spec says: it is the
+    // reference every decode is compared against.
+    IR.Options.TraceBackend = false;
     InterpOptions IO;
     IO.Costs = B.Costs;
-    Interpreter I(IR.Instrumented, IO);
-    I.setProfileRuntime(&RT);
-    if (I.run().FuelExhausted) {
-      std::fprintf(stderr, "error: instrumented %s hung\n", Bench.c_str());
+    RunResult Res;
+    std::string Err;
+    if (!trace::collect(B.Expanded, IR, IO, RT, Res, Err)) {
+      std::fprintf(stderr, "error: %s: %s\n", Bench.c_str(), Err.c_str());
       return 1;
     }
   } else if (int Rc = decode(B, IR, RT, TracePath, Report, MaxPaths, TOpts))

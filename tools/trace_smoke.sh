@@ -12,6 +12,11 @@
 # counts, and ppp_timing decode verifies attributed + unattributed ==
 # total cost itself, exiting nonzero on violation. The trace and
 # trace+time plans are identical, so one counter baseline serves both.
+#
+# The same contract through the experiment harness: `ppp_cli run vpr`
+# under the trace spec and under ppp must print the same report except
+# for the profiler name and the overhead line, and the trace overhead
+# must be strictly lower (recording charges only packet bytes).
 # Deterministic end to end, so it gates tier-1 like any other test.
 #
 # Usage: tools/trace_smoke.sh <build-dir> [trace|trace+time]
@@ -30,11 +35,14 @@ case "$ONLY" in
   ;;
 esac
 PT="$BUILD_DIR/tools/ppp_timing"
+CLI="$BUILD_DIR/tools/ppp_cli"
 
-if [ ! -x "$PT" ]; then
-  echo "error: $PT not built (run cmake --build $BUILD_DIR first)" >&2
-  exit 1
-fi
+for BIN in "$PT" "$CLI"; do
+  if [ ! -x "$BIN" ]; then
+    echo "error: $BIN not built (run cmake --build $BUILD_DIR first)" >&2
+    exit 1
+  fi
+done
 
 TMP=$(mktemp -d "${TMPDIR:-/tmp}/ppp-trace-smoke.XXXXXX")
 trap 'rm -rf "$TMP"' EXIT INT TERM
@@ -66,11 +74,36 @@ check() {
   done
 }
 
+# cli_check SPEC: ppp_cli's vpr report under SPEC against ppp's.
+cli_check() {
+  SPEC=$1
+  for P in "$SPEC" ppp; do
+    "$CLI" run vpr --profiler="$P" >"$TMP/cli.$P.out"
+    grep -v -e '^profiler ' -e '^overhead ' "$TMP/cli.$P.out" \
+      >"$TMP/cli.$P.rest"
+  done
+  cmp "$TMP/cli.ppp.rest" "$TMP/cli.$SPEC.rest" || {
+    echo "error: ppp_cli run vpr --profiler=$SPEC reports different" \
+      "profiles than --profiler=ppp" >&2
+    exit 1
+  }
+  OV_SPEC=$(sed -n 's/^overhead *\([0-9.]*\)%$/\1/p' "$TMP/cli.$SPEC.out")
+  OV_PPP=$(sed -n 's/^overhead *\([0-9.]*\)%$/\1/p' "$TMP/cli.ppp.out")
+  if [ -z "$OV_SPEC" ] || [ -z "$OV_PPP" ] ||
+    ! awk -v s="$OV_SPEC" -v p="$OV_PPP" 'BEGIN { exit !(s + 0 < p + 0) }'; then
+    echo "error: ppp_cli run vpr: $SPEC overhead '$OV_SPEC'% is not below" \
+      "ppp's '$OV_PPP'%" >&2
+    exit 1
+  fi
+}
+
 if [ "$ONLY" != trace+time ]; then
   check trace vpr perlbmk
+  cli_check trace
 fi
 if [ "$ONLY" != trace ]; then
   check trace+time vpr crafty
+  cli_check trace+time
 fi
 
 echo "trace_smoke: OK"
