@@ -24,7 +24,6 @@ endfunction()
 ppp_add_bench(interp_throughput)
 ppp_add_bench(trace_throughput)
 ppp_add_bench(adaptive_steadystate)
-ppp_add_bench(timing_attrib)
 ppp_add_bench(kiter_blowup)
 
 # The deterministic experiments (bench/Experiments.h) compile once, into

@@ -75,7 +75,7 @@ FuncId AdaptiveController::pickCandidate() const {
     // replaces it, separating cheap-but-frequent functions from
     // expensive ones the size proxy cannot tell apart.
     uint64_t Weight = Clean.function(static_cast<FuncId>(FI)).size();
-    if (Opts.Hotness == HotnessSource::PathTime && Opts.Timing) {
+    if (Opts.Timing) {
       double Mean =
           Opts.Timing->meanFunctionCost(static_cast<FuncId>(FI));
       if (Mean > 0.0)

@@ -11,7 +11,10 @@
 ///
 ///  1. **Samples** the attached ProfileRuntime: per function, the delta
 ///     of total path counts since the previous epoch is the hotness
-///     signal (weighted by function size as a work proxy).
+///     signal, weighted by function size as a work proxy -- or, when
+///     AdaptiveOptions::Timing holds a timed-trace profile, by the
+///     function's measured mean cost per path execution (PathTime
+///     hotness).
 ///  2. **Specializes** the hottest not-yet-specialized function: its
 ///     nonzero counters decode (FunctionPlan::decodePath) into hot
 ///     paths, whose CFG edges accumulate into a one-function edge
@@ -63,19 +66,6 @@ class PathTimingProfile;
 
 namespace adapt {
 
-/// What the controller treats as a function's hotness when ranking
-/// specialization candidates.
-enum class HotnessSource : uint8_t {
-  /// Live path-count delta weighted by static function size (a work
-  /// proxy). The original behavior; needs nothing beyond the runtime.
-  Count,
-  /// Count delta weighted by the function's *measured* mean exclusive
-  /// cost per path execution, from a timed-trace profiling run
-  /// (trace/PathTiming). Separates a cheap-but-frequent function from
-  /// a similarly-sized expensive one, which static size cannot.
-  PathTime,
-};
-
 struct AdaptiveOptions {
   /// Calls between epochs (the controller's sampling cadence).
   uint64_t EpochCalls = 2048;
@@ -116,12 +106,14 @@ struct AdaptiveOptions {
   InlinerOptions InlineOpts;
   UnrollerOptions UnrollOpts;
 
-  /// Candidate-ranking signal. PathTime requires Timing; a function
-  /// absent from the timing profile falls back to its static size, so
-  /// a partial profile degrades gracefully to Count behavior.
-  HotnessSource Hotness = HotnessSource::Count;
-  /// Per-path cost attribution from a prior timed-trace run of the
-  /// same workload (must outlive the controller). Read-only.
+  /// PathTime hotness: per-path cost attribution from a prior
+  /// timed-trace run of the same workload (trace/PathTiming; must
+  /// outlive the controller, read-only). When set, a function's count
+  /// delta is weighted by its *measured* mean exclusive cost per path
+  /// execution instead of its static size, which separates a
+  /// cheap-but-frequent function from a similarly-sized expensive one.
+  /// A function absent from the profile keeps its static size, so a
+  /// partial profile degrades gracefully to count hotness.
   const trace::PathTimingProfile *Timing = nullptr;
 };
 

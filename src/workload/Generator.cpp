@@ -418,3 +418,161 @@ Module ppp::generatePhasedWorkload(const PhasedWorkloadParams &Params) {
   assert(verifyModule(M).empty() && "phased module fails verification");
   return M;
 }
+
+namespace {
+
+/// Large static size, short cheap paths: a small diamond into a 12-arm
+/// switch, arms straight-line unit-cost ops. The leading diamond keeps
+/// the routine's paths from all being obvious (a path per switch arm
+/// alone would have a defining edge each, and the ppp/trace plan's
+/// skip-obvious gate would leave the routine uninstrumented -- and so
+/// invisible to timing attribution).
+FuncId emitBushy(IRBuilder &B) {
+  FuncId F = B.beginFunction("bushy", 1);
+  RegId S = B.emitMov(0);
+  RegId Salt = B.emitConst(0x9e3779b97f4a7c15LL);
+  B.emitBinary(Opcode::Xor, S, Salt, S);
+  RegId Seven = B.emitConst(7);
+  RegId T = B.emitBinary(Opcode::Shr, S, Seven);
+  B.emitBinary(Opcode::Add, S, T, S);
+  RegId Two = B.emitConst(2);
+  RegId Par = B.emitBinary(Opcode::And, S, Two);
+  BlockId DThen = B.newBlock(), DElse = B.newBlock(), DJoin = B.newBlock();
+  B.emitCondBr(Par, DThen, DElse);
+  B.setInsertPoint(DThen);
+  B.emitAddImm(S, 0x11, S);
+  B.emitBr(DJoin);
+  B.setInsertPoint(DElse);
+  B.emitAddImm(S, 0x29, S);
+  B.emitBr(DJoin);
+  B.setInsertPoint(DJoin);
+  constexpr unsigned Arms = 12;
+  std::vector<BlockId> ArmBlocks;
+  for (unsigned A = 0; A < Arms; ++A)
+    ArmBlocks.push_back(B.newBlock());
+  BlockId Exit = B.newBlock();
+  B.emitSwitch(S, ArmBlocks); // The interpreter wraps modulo NumTargets.
+  for (unsigned A = 0; A < Arms; ++A) {
+    B.setInsertPoint(ArmBlocks[A]);
+    RegId C = B.emitConst(0x5851f42d4c957f2dLL + A);
+    B.emitBinary(Opcode::Xor, S, C, S);
+    B.emitAddImm(S, 1 + A, S);
+    RegId Three = B.emitConst(3);
+    RegId U = B.emitBinary(Opcode::Shl, S, Three);
+    B.emitBinary(Opcode::Add, S, U, S);
+    B.emitBr(Exit);
+  }
+  B.setInsertPoint(Exit);
+  B.emitRet(S);
+  B.endFunction();
+  return F;
+}
+
+/// Six branch diamonds whose arms are dense straight-line work. With
+/// \p Heavy the work is DivU/RemU (Div-weighted in the cost model);
+/// otherwise the same shape runs unit-cost ops.
+FuncId emitDense(IRBuilder &B, bool Heavy) {
+  FuncId F = B.beginFunction("dense", 1);
+  RegId S = B.emitMov(0);
+  RegId C7 = B.emitConst(7);
+  RegId C13 = B.emitConst(13);
+  RegId C1 = B.emitConst(1);
+  Opcode O1 = Heavy ? Opcode::DivU : Opcode::Shr;
+  Opcode O2 = Heavy ? Opcode::RemU : Opcode::Xor;
+  for (unsigned Seg = 0; Seg < 6; ++Seg) {
+    RegId Cond = B.emitBinary(Opcode::And, S, C1);
+    BlockId Then = B.newBlock(), Else = B.newBlock(), Join = B.newBlock();
+    B.emitCondBr(Cond, Then, Else);
+    for (BlockId Arm : {Then, Else}) {
+      B.setInsertPoint(Arm);
+      RegId D = B.emitBinary(O1, S, C7);
+      RegId R = B.emitBinary(O2, S, C13);
+      B.emitBinary(Opcode::Add, S, D, S);
+      B.emitBinary(Opcode::Add, S, R, S);
+      RegId D2 = B.emitBinary(O1, S, C13);
+      RegId R2 = B.emitBinary(O2, S, C7);
+      B.emitBinary(Opcode::Add, S, D2, S);
+      B.emitBinary(Opcode::Xor, S, R2, S);
+      B.emitAddImm(S, Arm == Then ? 0x51 : 0x73, S);
+      B.emitBr(Join);
+    }
+    B.setInsertPoint(Join);
+  }
+  B.emitRet(S);
+  B.endFunction();
+  return F;
+}
+
+/// Calls \p Many \p ManyN times and \p Few \p FewN times, mixing the
+/// results into the state it returns.
+FuncId emitDriver(IRBuilder &B, const std::string &Name, FuncId Many,
+                  unsigned ManyN, FuncId Few, unsigned FewN) {
+  FuncId F = B.beginFunction(Name, 1);
+  RegId S = B.emitMov(0);
+  for (unsigned I = 0; I < ManyN; ++I) {
+    RegId R = B.emitCall(Many, {S});
+    B.emitBinary(Opcode::Xor, S, R, S);
+  }
+  for (unsigned I = 0; I < FewN; ++I) {
+    RegId R = B.emitCall(Few, {S});
+    B.emitBinary(Opcode::Add, S, R, S);
+  }
+  B.emitRet(S);
+  B.endFunction();
+  return F;
+}
+
+} // namespace
+
+Module ppp::generateCostSkewedWorkload(bool Heavy) {
+  constexpr int64_t Trips = 384, PhaseLen = 128;
+  Module M;
+  M.Name = Heavy ? "skewed" : "uniform";
+  IRBuilder B(M);
+  FuncId Bushy = emitBushy(B);
+  FuncId Dense = emitDense(B, Heavy);
+  // The hot *count* always points at bushy in phase A, while the hot
+  // *cost* points at dense even there when Heavy.
+  FuncId DrvA = emitDriver(B, "drive_a", Bushy, 8, Dense, 1);
+  FuncId DrvB = emitDriver(B, "drive_b", Dense, 4, Bushy, 1);
+
+  // Driver iterations alternate DrvA / DrvB every PhaseLen, state
+  // threaded through memory so runs are deterministic.
+  FuncId Main = B.beginFunction("main", 0);
+  RegId Addr = B.emitConst(3);
+  RegId St = B.emitLoad(Addr);
+  RegId I = B.emitConst(0);
+  RegId N = B.emitConst(Trips);
+  RegId Len = B.emitConst(PhaseLen);
+  RegId One = B.emitConst(1);
+  RegId OutAddr = B.emitConst(5);
+  BlockId Head = B.newBlock(), Body = B.newBlock(), PhA = B.newBlock(),
+          PhB = B.newBlock(), Latch = B.newBlock(), Exit = B.newBlock();
+  B.emitBr(Head);
+  B.setInsertPoint(Head);
+  RegId Cmp = B.emitBinary(Opcode::CmpLt, I, N);
+  B.emitCondBr(Cmp, Body, Exit);
+  B.setInsertPoint(Body);
+  RegId Ph = B.emitBinary(Opcode::DivU, I, Len);
+  RegId Sel = B.emitBinary(Opcode::And, Ph, One);
+  B.emitCondBr(Sel, PhB, PhA);
+  B.setInsertPoint(PhA);
+  RegId RA = B.emitCall(DrvA, {St});
+  B.emitMov(RA, St);
+  B.emitBr(Latch);
+  B.setInsertPoint(PhB);
+  RegId RB = B.emitCall(DrvB, {St});
+  B.emitMov(RB, St);
+  B.emitBr(Latch);
+  B.setInsertPoint(Latch);
+  B.emitBinary(Opcode::Add, I, One, I);
+  B.emitBr(Head);
+  B.setInsertPoint(Exit);
+  B.emitStore(OutAddr, St);
+  B.emitRet(St);
+  B.endFunction();
+  M.MainId = Main;
+
+  assert(verifyModule(M).empty() && "cost-skewed module fails verification");
+  return M;
+}

@@ -96,6 +96,22 @@ struct PhasedWorkloadParams {
 /// become callable drivers under the new main.
 Module generatePhasedWorkload(const PhasedWorkloadParams &Params);
 
+/// A hand-built phased program whose *cost* is skewed away from its
+/// *counts*, exactly rather than statistically -- where PathTime
+/// hotness (adapt/AdaptiveController.h) should pick a different first
+/// candidate than count hotness. Function 0, bushy, is a 12-arm switch
+/// over fat unit-cost arms: large static size, short cheap paths, so
+/// the count-based score (path delta x static size) loves it. Function
+/// 1, dense, is six branch diamonds whose arms are packed with
+/// DivU/RemU (8x unit cost): moderate static size, but ~20x a bushy
+/// execution's cost. main runs 384 iterations, alternating a
+/// bushy-heavy phase (8 bushy : 1 dense call per iteration) and a
+/// dense-heavy one (1 : 4) every 128. Without \p Heavy (the module is
+/// then named "uniform", else "skewed"), dense's divisions become
+/// unit-cost ops: the control, same structure, counts agreeing with
+/// cost.
+Module generateCostSkewedWorkload(bool Heavy);
+
 } // namespace ppp
 
 #endif // PPP_WORKLOAD_GENERATOR_H

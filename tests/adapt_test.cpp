@@ -4,6 +4,9 @@
 #include "ir/IRBuilder.h"
 #include "ir/Verifier.h"
 #include "profile/Collectors.h"
+#include "trace/Collect.h"
+#include "trace/PathTiming.h"
+#include "workload/Generator.h"
 
 #include "gtest/gtest.h"
 
@@ -248,6 +251,79 @@ TEST(Adaptive, RevertsRegressingVersionAndNeverRetries) {
   for (unsigned F = 0; F < T.M.numFunctions(); ++F)
     EXPECT_LE(VT.installedVersions(static_cast<FuncId>(F)), 1u)
         << "reverted function " << F << " was retried";
+}
+
+/// What one adaptive session on a cost-skewed subject picked first, the
+/// share of the timed run's attributed cost that function carries, and
+/// its steady modelled cost: bench/adaptive_steadystate's cadence for
+/// these subjects, 32 runs, the last 16 steady.
+struct FirstPick {
+  FuncId F = -1;
+  double Cover = 0;
+  uint64_t SteadyCost = 0;
+};
+
+FirstPick runCostSkewed(const Module &M, const EdgeProfile &Advice,
+                        const trace::PathTimingProfile &Timing,
+                        bool PathTime) {
+  adapt::AdaptiveOptions AO;
+  AO.EpochCalls = 512;
+  AO.MinPathDelta = 4;
+  AO.EvalEpochs = 2;
+  AO.RevertThresholdPct = 60.0;
+  if (PathTime)
+    AO.Timing = &Timing;
+  InterpOptions IO;
+  std::unique_ptr<adapt::AdaptiveSession> S =
+      adapt::AdaptiveSession::create(M, Advice, IO, AO);
+  RunResult Clean = Interpreter(M, IO).run();
+  FirstPick Out;
+  for (int R = 0; R < 32; ++R) {
+    RunResult A = S->run();
+    EXPECT_EQ(A.ReturnValue, Clean.ReturnValue);
+    EXPECT_EQ(A.MemChecksum, Clean.MemChecksum);
+    if (R >= 16)
+      Out.SteadyCost += A.Cost;
+  }
+  Out.F = S->controller().stats().FirstInstall;
+  auto It = Timing.functions().find(Out.F);
+  if (It != Timing.functions().end())
+    Out.Cover = static_cast<double>(It->second.TotalCost) /
+                static_cast<double>(Timing.attributedCost());
+  return Out;
+}
+
+TEST(Adaptive, PathTimeHotnessFollowsCostNotCounts) {
+  for (bool Heavy : {true, false}) {
+    SCOPED_TRACE(Heavy ? "skewed" : "uniform");
+    Module M = generateCostSkewedWorkload(Heavy);
+    ASSERT_TRUE(verifyModule(M).empty());
+    InterpOptions IO;
+    EdgeProfile Advice = profileClean(M, IO).EP;
+    InstrumentationResult IR =
+        instrumentModule(M, Advice, ProfilerOptions::traceTimed());
+    ProfileRuntime RT = IR.makeRuntime();
+    trace::PathTimingProfile Timing;
+    RunResult Res;
+    std::string Err;
+    ASSERT_TRUE(trace::collect(M, IR, IO, RT, Res, Err, &Timing)) << Err;
+    ASSERT_GT(Timing.attributedCost(), 0u);
+
+    FirstPick Count = runCostSkewed(M, Advice, Timing, false);
+    FirstPick Time = runCostSkewed(M, Advice, Timing, true);
+    if (Heavy) {
+      // Counts point at bushy (function 0), cost at dense (function 1);
+      // following cost covers more of it and never costs more.
+      EXPECT_EQ(Count.F, 0);
+      EXPECT_EQ(Time.F, 1);
+      EXPECT_GE(Time.Cover, Count.Cover);
+      EXPECT_LE(Time.SteadyCost, Count.SteadyCost);
+    } else {
+      // Counts agree with cost: both rankings pick the same function.
+      EXPECT_GE(Count.F, 0);
+      EXPECT_EQ(Count.F, Time.F);
+    }
+  }
 }
 
 } // namespace

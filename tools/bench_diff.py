@@ -25,7 +25,7 @@ Usage:
   tools/bench_diff.py --gate NAME OLD.json NEW.json
       Shorthand for the committed trajectory files: NAME picks the key
       patterns for one of the tracked BENCH_*.json baselines
-      (throughput, served, trace, adapt, timing, kiter); --keys
+      (throughput, served, trace, adapt, kiter); --keys
       overrides them.
 
   tools/bench_diff.py --self-test
@@ -49,8 +49,7 @@ GATES = {
     "throughput": "throughput.average.*",
     "served": "serve.bench.*",
     "trace": "trace.average.*,trace.bench.*",
-    "adapt": "adapt.average.*,adapt.bench.*",
-    "timing": "timing.accept.*,timing.bench.*",
+    "adapt": "adapt.average.*,adapt.bench.*,adapt.accept.*",
     # kiter.k<k>.<profiler>.* are the suite-wide aggregates per chain
     # depth (paths enumerated, lost fraction, overhead, demotions);
     # per-benchmark kiter.bench.* keys ride along informationally.
@@ -290,7 +289,7 @@ def self_test():
     # 6. Every named preset is a non-empty pattern list.
     check("gate presets well-formed",
           all(p.strip() for p in GATES.values()) and set(GATES) ==
-          {"throughput", "served", "trace", "adapt", "timing", "kiter"})
+          {"throughput", "served", "trace", "adapt", "kiter"})
 
     def named(old_gauges, new_gauges, name):
         return gate(metrics(gauges=old_gauges), metrics(gauges=new_gauges),
@@ -331,19 +330,19 @@ def self_test():
     check("adapt gate: ratio collapse fails",
           rc == 1 and "best_phased_ratio" in err)
 
-    # 6c. The timing gate: picks_differ dropping to 0 (both controllers
-    #     picking the same candidate on the skewed subject) is a -100%
-    #     move, so it always trips; a move outside the preset's
-    #     patterns is ignored.
-    timing_base = {"timing.accept.picks_differ": 1.0,
-                   "timing.bench.skewed.steady_cost_ratio": 1.02,
-                   "adapt.bench.x.ratio": 1.0}
-    lost_pick = {**timing_base, "timing.accept.picks_differ": 0.0}
-    rc, _, err = named(timing_base, lost_pick, "timing")
-    check("timing gate: lost pick separation fails",
+    # 6c. The adapt gate's acceptance keys: picks_differ dropping to 0
+    #     (both controllers picking the same candidate on the skewed
+    #     subject) is a -100% move, so it always trips; a move outside
+    #     the preset's patterns is ignored.
+    accept_base = {"adapt.accept.picks_differ": 1.0,
+                   "adapt.bench.skewed.steady_cost_ratio": 1.02,
+                   "trace.bench.x.record_mips": 100.0}
+    lost_pick = {**accept_base, "adapt.accept.picks_differ": 0.0}
+    rc, _, err = named(accept_base, lost_pick, "adapt")
+    check("adapt gate: lost pick separation fails",
           rc == 1 and "picks_differ" in err)
-    elsewhere = {**timing_base, "adapt.bench.x.ratio": 2.0}
-    rc, _, _ = named(timing_base, elsewhere, "timing")
+    elsewhere = {**accept_base, "trace.bench.x.record_mips": 200.0}
+    rc, _, _ = named(accept_base, elsewhere, "adapt")
     check("named gate ignores other keys", rc == 0)
 
     # 6d. The kiter gate: steady aggregates pass, a lost-fraction blowup
