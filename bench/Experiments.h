@@ -4,15 +4,13 @@
 /// Every deterministic figure/table experiment exposes its whole
 /// program as one `run*()` function, registered once in the
 /// experiments() table (bench/Experiments.cpp, library
-/// ppp_experiments). Each standalone binary is a generated one-line
-/// main that runs its row; the unified suite_all driver runs any subset
+/// ppp_experiments). suite_all, the only entry point, runs any subset
 /// in one process, so the experiments share a single preparation cache
-/// instead of each rebuilding every benchmark. Every experiment
-/// translation unit compiles once, for both.
+/// instead of each rebuilding every benchmark.
 ///
-/// Contract: a run function writes its complete report to stdout --
-/// byte-identical whether invoked standalone or from suite_all -- and
-/// returns a process exit code. Experiments whose output is wall-clock
+/// Contract: a run function writes its complete report to stdout and
+/// returns a process exit code; the full suite's stdout is pinned by
+/// tests/golden/suite_all.txt. Experiments whose output is wall-clock
 /// dependent (interp_throughput, counters_microbench) are deliberately
 /// not part of this registry.
 ///
@@ -43,7 +41,7 @@ int runNetVsPpp();
 int runMetricComparison();
 
 struct ExperimentInfo {
-  const char *Name;      ///< The standalone binary's name.
+  const char *Name;      ///< suite_all's argument for this row.
   int (*Run)();
   bool UsesPrepare;      ///< Runs the steps 1-4 pipeline on the suite.
   bool UsesAlphaCosts;   ///< Also prepares under CostModel::alpha21164().

@@ -3,7 +3,7 @@
 /// \file
 /// Persists the result of bench::prepare() -- the steps 1-4 pipeline
 /// (generate, calibrate, clean-profile, inline+unroll, re-profile) --
-/// so the 13 figure/table binaries, suite_all, and repeated runs of any
+/// so the experiments in suite_all, the tools, and repeated runs of any
 /// of them share one prepared artifact per (benchmark, cost model)
 /// instead of each rebuilding all of them.
 ///
@@ -26,7 +26,7 @@
 /// read, so a (vanishingly unlikely) hash collision reads as a miss,
 /// not a wrong hit. Corrupt or truncated entries fail the checksum or
 /// validation and are rebuilt transparently. Writes go to a temp file
-/// followed by an atomic rename, so concurrent suite binaries can share
+/// followed by an atomic rename, so concurrent processes can share
 /// one cache directory safely.
 ///
 /// PPP_CACHE=off disables both layers (the pre-cache behavior);

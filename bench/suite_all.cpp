@@ -1,18 +1,16 @@
 //===- bench/suite_all.cpp - Unified experiment suite driver ------------------===//
 ///
 /// One process that runs every deterministic figure/table experiment
-/// over a single shared set of prepared benchmarks. The standalone
-/// binaries each re-run the steps 1-4 pipeline for all benchmarks; here
-/// a first phase warms the preparation cache once per (benchmark x
-/// cost-model) cell on a shared worker pool, and then each experiment's
-/// run function executes against the in-memory cache, so the suite's
-/// wall clock is bound by step 5 (instrument + run + evaluate) only.
+/// over a single shared set of prepared benchmarks. A first phase warms
+/// the preparation cache once per (benchmark x cost-model) cell on a
+/// shared worker pool, and then each experiment's run function executes
+/// against the in-memory cache, so the suite's wall clock is bound by
+/// step 5 (instrument + run + evaluate) only.
 ///
 /// Output contract: stdout is the exact concatenation of each selected
-/// experiment's report, byte-identical to running the standalone
-/// binaries in the same order; all framing (progress, timings, cache
-/// statistics) goes to stderr. `suite_all A B | diff - <(A; B)` is
-/// empty by construction.
+/// experiment's report; all framing (progress, timings, cache
+/// statistics) goes to stderr. The full suite's stdout is pinned by
+/// tests/golden/suite_all.txt (the experiments_golden test).
 ///
 /// Usage: suite_all [--list] [experiment...]   (default: all)
 ///

@@ -277,15 +277,13 @@ void AdaptiveController::flushMetrics() const {
   obs::counter("adapt.backoffs").inc(Stats.Backoffs);
   obs::counter("adapt.swap.ns_total").inc(Stats.SwapNanos);
   obs::gauge("adapt.swap.ns_max")
-      .set(static_cast<double>(Stats.MaxSwapNanos));
+      .raise(static_cast<double>(Stats.MaxSwapNanos));
   const VersionTable &VT = Interp.versions();
-  obs::gauge("adapt.table.functions")
-      .set(static_cast<double>(VT.numFunctions()));
-  obs::gauge("adapt.table.decoded")
-      .set(static_cast<double>(VT.decodedFunctions()));
+  obs::counter("adapt.table.functions").inc(VT.numFunctions());
+  obs::counter("adapt.table.decoded").inc(VT.decodedFunctions());
   uint64_t Live = 0;
   for (size_t FI = 0; FI < VT.numFunctions(); ++FI)
     if (VT.currentVersion(static_cast<FuncId>(FI)) > 0)
       ++Live;
-  obs::gauge("adapt.table.live_versions").set(static_cast<double>(Live));
+  obs::counter("adapt.table.live_versions").inc(Live);
 }

@@ -162,7 +162,9 @@ public:
   EdgeProfile adviceFor(FuncId F);
 
   /// Flushes the controller's lifetime totals into the obs registry
-  /// (adapt.* counters/gauges), including version-table occupancy.
+  /// (adapt.* counters), including version-table occupancy, so a report
+  /// over several sessions sums them; adapt.swap.ns_max is the gauge
+  /// holding the worst swap of any session.
   void flushMetrics() const;
 
 protected:

@@ -73,10 +73,17 @@ private:
   detail::ShardCell Shards[MetricShards];
 };
 
-/// A last-value-wins double gauge (set is rare; no sharding).
+/// A double gauge: set() is last-value-wins, raise() keeps the maximum
+/// across writers (both are rare; no sharding).
 class Gauge {
 public:
   void set(double V) { Value.store(V, std::memory_order_relaxed); }
+  void raise(double V) {
+    double Cur = Value.load(std::memory_order_relaxed);
+    while (Cur < V &&
+           !Value.compare_exchange_weak(Cur, V, std::memory_order_relaxed)) {
+    }
+  }
   double value() const { return Value.load(std::memory_order_relaxed); }
 
 private:

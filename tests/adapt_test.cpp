@@ -3,6 +3,7 @@
 #include "adapt/AdaptiveSession.h"
 #include "ir/IRBuilder.h"
 #include "ir/Verifier.h"
+#include "obs/Obs.h"
 #include "profile/Collectors.h"
 #include "trace/Collect.h"
 #include "trace/PathTiming.h"
@@ -178,6 +179,48 @@ TEST(Adaptive, AdviceIsScopedToOneFunction) {
     for (int64_t Freq : A.Funcs[F].EdgeFreq)
       EXPECT_EQ(Freq, 0) << "advice for hot leaked into function " << F;
   }
+}
+
+TEST(Adaptive, FlushedTableMetricsSumOverSessions) {
+  HotCold T = buildHotColdModule();
+  Module Skewed = generateCostSkewedWorkload(/*Heavy=*/true);
+  InterpOptions IO;
+  std::unique_ptr<adapt::AdaptiveSession> Small =
+      adapt::AdaptiveSession::create(T.M, profileClean(T.M, IO).EP, IO,
+                                     testOptions());
+  std::unique_ptr<adapt::AdaptiveSession> Large =
+      adapt::AdaptiveSession::create(Skewed, profileClean(Skewed, IO).EP,
+                                     IO, testOptions());
+  for (int R = 0; R < 3; ++R) {
+    Small->run();
+    Large->run();
+  }
+  const VersionTable &VS = Small->interp().versions();
+  const VersionTable &VL = Large->interp().versions();
+  ASSERT_NE(VS.numFunctions(), VL.numFunctions());
+  uint64_t LiveSum = 0;
+  for (const VersionTable *VT : {&VS, &VL})
+    for (size_t F = 0; F < VT->numFunctions(); ++F)
+      LiveSum += VT->currentVersion(static_cast<FuncId>(F)) > 0;
+
+  // The session with the worse swap flushes first, so a last-writer-wins
+  // maximum would report the other one's.
+  const adapt::AdaptiveController *First = &Small->controller();
+  const adapt::AdaptiveController *Second = &Large->controller();
+  if (First->stats().MaxSwapNanos < Second->stats().MaxSwapNanos)
+    std::swap(First, Second);
+  obs::Registry::instance().resetForTesting();
+  First->flushMetrics();
+  Second->flushMetrics();
+
+  obs::MetricsSnapshot Snap = obs::snapshot();
+  EXPECT_EQ(Snap.counter("adapt.table.functions"),
+            VS.numFunctions() + VL.numFunctions());
+  EXPECT_EQ(Snap.counter("adapt.table.decoded"),
+            VS.decodedFunctions() + VL.decodedFunctions());
+  EXPECT_EQ(Snap.counter("adapt.table.live_versions"), LiveSum);
+  EXPECT_EQ(Snap.gauge("adapt.swap.ns_max"),
+            static_cast<double>(First->stats().MaxSwapNanos));
 }
 
 /// Substitutes deliberately mispriced versions (same clean code, every

@@ -22,8 +22,7 @@ set -eu
 REPO_ROOT=$(CDPATH= cd -- "$(dirname -- "$0")/.." && pwd)
 BUILD_DIR=${1:-"$REPO_ROOT/build"}
 
-for BIN in tools/ppp_cli tools/fuzz_ppp bench/fig9_accuracy \
-    bench/kiter_blowup; do
+for BIN in tools/ppp_cli tools/fuzz_ppp bench/suite_all bench/kiter_blowup; do
   if [ ! -x "$BUILD_DIR/$BIN" ]; then
     echo "kiter_smoke: missing $BUILD_DIR/$BIN (build first)" >&2
     exit 1
@@ -44,13 +43,15 @@ done
 echo "ok: k = 1 profiles byte-identical to unchained ppp"
 
 echo "== kiter smoke: fig9 axis off by default, on under PPP_KITER =="
-PPP_CACHE_DIR="$WORK/cache" "$BUILD_DIR/bench/fig9_accuracy" \
-  >"$WORK/fig9.unset.out"
-PPP_CACHE_DIR="$WORK/cache" PPP_KITER=1 "$BUILD_DIR/bench/fig9_accuracy" \
-  >"$WORK/fig9.k1.out"
+# fig9 [VAR=VALUE...]: fig9_accuracy's stdout under the given settings.
+fig9() {
+  env PPP_CACHE_DIR="$WORK/cache" "$@" \
+    "$BUILD_DIR/bench/suite_all" fig9_accuracy 2>/dev/null
+}
+fig9 >"$WORK/fig9.unset.out"
+fig9 PPP_KITER=1 >"$WORK/fig9.k1.out"
 diff "$WORK/fig9.unset.out" "$WORK/fig9.k1.out"
-PPP_CACHE_DIR="$WORK/cache" PPP_KITER=2 "$BUILD_DIR/bench/fig9_accuracy" \
-  >"$WORK/fig9.k2.out"
+fig9 PPP_KITER=2 >"$WORK/fig9.k2.out"
 grep -q -- "-- k = 2" "$WORK/fig9.k2.out" || {
   echo "kiter_smoke: PPP_KITER=2 produced no k = 2 table" >&2
   exit 1
