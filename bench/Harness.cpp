@@ -167,7 +167,8 @@ ProfilerOutcome ppp::bench::runProfiler(const PreparedBenchmark &B,
   RunResult Res;
   std::string Error;
   trace::PathTimingProfile Timing;
-  if (!trace::collect(B.Expanded, *Out.IR, IO, RT, Res, Error, &Timing)) {
+  if (!trace::collect(B.Expanded, *Out.IR, IO, RT, Res, Error, &Timing,
+                      &B.EP)) {
     fprintf(stderr, "error: %s (%s): %s\n", B.Name.c_str(), Opts.Name.c_str(),
             Error.c_str());
     exit(1);

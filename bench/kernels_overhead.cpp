@@ -45,7 +45,7 @@ int ppp::bench::runKernelsOverhead() {
       ProfileRuntime RT = IR.makeRuntime();
       RunResult R;
       std::string Err;
-      bool Ran = trace::collect(K.M, IR, IO, RT, R, Err);
+      bool Ran = trace::collect(K.M, IR, IO, RT, R, Err, nullptr, &EP);
       if (!Ran || R.ReturnValue != K.ExpectedReturn) {
         fprintf(stderr, "error: %s under %s: %s\n", K.Name.c_str(),
                 Opts.Name.c_str(), Ran ? "mis-executed" : Err.c_str());

@@ -120,6 +120,37 @@ void checkDefiniteFlowBound(const Module &M, const CleanProfile &Clean,
   }
 }
 
+/// The counter backend's run of \p IR's instrumented module over \p RT
+/// under \p Fuel. Checks that it terminates (<Tag>.terminates) and that
+/// the interp.op.* counts derived from the clean edge profile, through
+/// lowering's block mapping, sum to the instructions it executed
+/// (<Tag>.derived_ops). Returns false on a hang.
+bool runCounters(const InstrumentationResult &IR, const CleanProfile &Clean,
+                 uint64_t Fuel, ProfileRuntime &RT, RunResult &Res,
+                 const std::string &Tag, InvariantReport &Rep) {
+  InterpOptions IO;
+  IO.Fuel = Fuel;
+  Interpreter I(IR.Instrumented, IO);
+  I.setProfileRuntime(&RT);
+  Res = I.run();
+  ++Rep.ChecksRun;
+  if (Res.FuelExhausted) {
+    Rep.fail(Tag + ".terminates", "instrumented run exhausted fuel");
+    return false;
+  }
+  uint64_t Sum = 0;
+  for (uint64_t N : deriveOpCounts(IR.Instrumented, IR.blockFreqs(Clean.EP)))
+    Sum += N;
+  ++Rep.ChecksRun;
+  if (Sum != Res.DynInstrs)
+    Rep.fail(Tag + ".derived_ops",
+             formatString("derived interp.op.* sum %llu, run executed %llu "
+                          "instructions",
+                          (unsigned long long)Sum,
+                          (unsigned long long)Res.DynInstrs));
+  return true;
+}
+
 void checkOneProfiler(const Module &M, const CleanProfile &Clean,
                       const ProfilerOptions &Opts, uint64_t Fuel,
                       InvariantReport &Rep) {
@@ -127,17 +158,9 @@ void checkOneProfiler(const Module &M, const CleanProfile &Clean,
 
   InstrumentationResult IR = instrumentModule(M, Clean.EP, Opts);
   ProfileRuntime RT = IR.makeRuntime();
-  InterpOptions IO;
-  IO.Fuel = Fuel;
-  Interpreter I(IR.Instrumented, IO);
-  I.setProfileRuntime(&RT);
-  RunResult Res = I.run();
-
-  ++Rep.ChecksRun;
-  if (Res.FuelExhausted) {
-    Rep.fail(Tag("terminates"), "instrumented run exhausted fuel");
+  RunResult Res;
+  if (!runCounters(IR, Clean, Fuel, RT, Res, Opts.Name, Rep))
     return;
-  }
   ++Rep.ChecksRun;
   if (Res.ReturnValue != Clean.Res.ReturnValue)
     Rep.fail(Tag("semantics"),
@@ -376,13 +399,8 @@ void checkKIter(const Module &M, const CleanProfile &Clean, uint64_t Fuel,
     for (int X = 0; X < 2; ++X) {
       const InstrumentationResult &IR = X == 0 ? Plain : Chained;
       ProfileRuntime RT = IR.makeRuntime();
-      InterpOptions IO;
-      IO.Fuel = Fuel;
-      Interpreter I(IR.Instrumented, IO);
-      I.setProfileRuntime(&RT);
-      ++Rep.ChecksRun;
-      if (I.run().FuelExhausted) {
-        Rep.fail("kiter.checked.terminates", "instrumented run exhausted fuel");
+      RunResult Res;
+      if (!runCounters(IR, Clean, Fuel, RT, Res, "kiter.checked", Rep)) {
         Ran = false;
         break;
       }
@@ -425,16 +443,9 @@ void checkKIter(const Module &M, const CleanProfile &Clean, uint64_t Fuel,
     }
 
     ProfileRuntime RT = IR.makeRuntime();
-    InterpOptions IO;
-    IO.Fuel = Fuel * 2;
-    Interpreter I(IR.Instrumented, IO);
-    I.setProfileRuntime(&RT);
-    RunResult Res = I.run();
-    ++Rep.ChecksRun;
-    if (Res.FuelExhausted) {
-      Rep.fail(Tag("terminates"), "chained run exhausted fuel");
+    RunResult Res;
+    if (!runCounters(IR, Clean, Fuel * 2, RT, Res, Opts.Name, Rep))
       continue;
-    }
     ++Rep.ChecksRun;
     if (Res.ReturnValue != Clean.Res.ReturnValue ||
         Res.MemChecksum != Clean.Res.MemChecksum)
@@ -596,16 +607,10 @@ void checkTraceBackend(const Module &M, const CleanProfile &Clean,
        {ProfilerOptions::pp(), ProfilerOptions::trace()}) {
     InstrumentationResult IR = instrumentModule(M, Clean.EP, Opts);
     ProfileRuntime CounterRT = IR.makeRuntime();
-    InterpOptions IO;
-    IO.Fuel = Fuel * 2;
-    Interpreter I(IR.Instrumented, IO);
-    I.setProfileRuntime(&CounterRT);
-    ++Rep.ChecksRun;
-    if (I.run().FuelExhausted) {
-      Rep.fail("trace." + Opts.Name + ".terminates",
-               "instrumented run exhausted fuel");
+    RunResult Res;
+    if (!runCounters(IR, Clean, Fuel * 2, CounterRT, Res,
+                     "trace." + Opts.Name, Rep))
       continue;
-    }
     CountsMessage Want = countsFromRun(M.Name, IR, CounterRT);
     trace::TraceDecoder Dec(M, IR);
     for (int C = 0; C < 2; ++C) {
@@ -683,18 +688,10 @@ void checkTimedTrace(const Module &M, const CleanProfile &Clean, uint64_t Fuel,
   InstrumentationResult IR =
       instrumentModule(M, Clean.EP, ProfilerOptions::trace());
   ProfileRuntime CounterRT = IR.makeRuntime();
-  {
-    InterpOptions IO;
-    IO.Fuel = Fuel * 2;
-    Interpreter I(IR.Instrumented, IO);
-    I.setProfileRuntime(&CounterRT);
-    ++Rep.ChecksRun;
-    if (I.run().FuelExhausted) {
-      Rep.fail("timed.counter.terminates",
-               "instrumented run exhausted fuel");
-      return;
-    }
-  }
+  RunResult Res;
+  if (!runCounters(IR, Clean, Fuel * 2, CounterRT, Res, "timed.counter",
+                   Rep))
+    return;
   CountsMessage Want = countsFromRun(M.Name, IR, CounterRT);
 
   // Default cost model, matching the recording runs above: the decoder

@@ -31,7 +31,10 @@
 ///    binary frames, the event stream is invariant under chunk
 ///    capacity, and decoding reconstructs counters bit-identical to
 ///    the counter backend for both the pp and ppp plans (so, through
-///    pp's exactness, equal to the oracle's path counts).
+///    pp's exactness, equal to the oracle's path counts);
+///  - derived telemetry is exact: for every counter-backend run, the
+///    interp.op.* counts derived from the clean edge profile (through
+///    lowering's block mapping) sum to the instructions executed.
 ///
 /// Checks accumulate into an InvariantReport instead of asserting so
 /// the fuzzer driver can count, shrink, and report failures itself.

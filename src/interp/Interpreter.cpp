@@ -6,9 +6,8 @@
 /// bit-equal RunResults across all of them for the benchmark suite.
 ///
 /// This TU compiles the dispatch loop (interp/InterpreterLoop.inc) for
-/// the Clean, Observed and Profiled rows only; the telemetry twins
-/// live in InterpreterStats.cpp, the recording rows in
-/// InterpreterTrace.cpp and InterpreterTraceTimed.cpp, and the
+/// the Clean, Observed and Profiled rows only; the recording rows live
+/// in InterpreterTrace.cpp and InterpreterTraceTimed.cpp, and the
 /// adaptive row in InterpreterAdapt.cpp, so their presence cannot
 /// perturb the clean loop's code generation (see the .inc header for
 /// why that separation is measured, not cosmetic).
@@ -36,10 +35,7 @@ using namespace ppp;
 ExecObserver::~ExecObserver() = default;
 EpochHook::~EpochHook() = default;
 
-// The other six rows, each compiled in its own TU.
-extern template RunResult Interpreter::runImpl<ExecMode::CleanStats>();
-extern template RunResult Interpreter::runImpl<ExecMode::ObservedStats>();
-extern template RunResult Interpreter::runImpl<ExecMode::ProfiledStats>();
+// The other three rows, each compiled in its own TU.
 extern template RunResult Interpreter::runImpl<ExecMode::Trace>();
 extern template RunResult Interpreter::runImpl<ExecMode::TimedTrace>();
 extern template RunResult Interpreter::runImpl<ExecMode::Adaptive>();
@@ -49,13 +45,6 @@ namespace {
 [[noreturn]] void rejectMix(const char *What) {
   fprintf(stderr, "error: Interpreter::run: %s\n", What);
   abort();
-}
-
-/// Trace, timed-trace and adaptive runs have no telemetry twin; when
-/// telemetry is on, say which row ran without it.
-void noteStatsSkipped(const char *Row) {
-  if (obs::interpStatsEnabled())
-    obs::counter(std::string("interp.stats_skipped.") + Row).inc();
 }
 
 } // namespace
@@ -86,9 +75,8 @@ ExecMode Interpreter::selectMode() const {
                 "with a profiling runtime");
     if (Epoch)
       rejectMix("a trace recorder cannot run with an epoch hook");
-    const bool Timed = TraceRec->timestampsEnabled();
-    noteStatsSkipped(Timed ? "timed_trace" : "trace");
-    return Timed ? ExecMode::TimedTrace : ExecMode::Trace;
+    return TraceRec->timestampsEnabled() ? ExecMode::TimedTrace
+                                         : ExecMode::Trace;
   }
   if (Epoch) {
     if (!Runtime)
@@ -96,20 +84,14 @@ ExecMode Interpreter::selectMode() const {
                 "attach a runtime first");
     if (EpochPeriod == 0)
       rejectMix("an epoch hook needs a positive period");
-    noteStatsSkipped("adaptive");
     return ExecMode::Adaptive;
   }
-  // Telemetry selects a separate row: when disabled (the default), the
-  // loop that runs is compiled without any counting code.
-  const bool Stats = obs::interpStatsEnabled();
   if (Runtime)
-    return Stats ? ExecMode::ProfiledStats : ExecMode::Profiled;
-  if (HasObs)
-    return Stats ? ExecMode::ObservedStats : ExecMode::Observed;
-  return Stats ? ExecMode::CleanStats : ExecMode::Clean;
+    return ExecMode::Profiled;
+  return HasObs ? ExecMode::Observed : ExecMode::Clean;
 }
 
-RunResult Interpreter::run() {
+RunResult Interpreter::runSelected() {
   switch (selectMode()) {
   case ExecMode::Clean:
     return runImpl<ExecMode::Clean>();
@@ -117,12 +99,6 @@ RunResult Interpreter::run() {
     return runImpl<ExecMode::Observed>();
   case ExecMode::Profiled:
     return runImpl<ExecMode::Profiled>();
-  case ExecMode::CleanStats:
-    return runImpl<ExecMode::CleanStats>();
-  case ExecMode::ObservedStats:
-    return runImpl<ExecMode::ObservedStats>();
-  case ExecMode::ProfiledStats:
-    return runImpl<ExecMode::ProfiledStats>();
   case ExecMode::Trace:
     return runImpl<ExecMode::Trace>();
   case ExecMode::TimedTrace:
@@ -131,6 +107,50 @@ RunResult Interpreter::run() {
     return runImpl<ExecMode::Adaptive>();
   }
   abort();
+}
+
+RunResult Interpreter::run() {
+  if (!obs::interpStatsEnabled())
+    return runSelected();
+  // Tables are reset only between runs, so the traffic difference
+  // across this run is exactly its own counter updates.
+  PathTable::Traffic Before, After;
+  for (unsigned F = 0; Runtime && F < Runtime->numFunctions(); ++F)
+    Runtime->table(static_cast<FuncId>(F)).addTraffic(Before);
+  RunResult R = runSelected();
+  for (unsigned F = 0; Runtime && F < Runtime->numFunctions(); ++F)
+    Runtime->table(static_cast<FuncId>(F)).addTraffic(After);
+  obs::counter("interp.runs").inc();
+  obs::counter("interp.instrs").inc(R.DynInstrs);
+  obs::counter("interp.table.increments")
+      .inc(After.Increments - Before.Increments);
+  obs::counter("interp.table.probes").inc(After.Probes - Before.Probes);
+  obs::counter("interp.table.collisions")
+      .inc(After.Collisions - Before.Collisions);
+  obs::counter("interp.table.lost").inc(After.Lost - Before.Lost);
+  obs::counter("interp.table.invalid").inc(After.Invalid - Before.Invalid);
+  obs::counter("interp.table.cold_checked").inc(After.Cold - Before.Cold);
+  return R;
+}
+
+OpCounts ppp::deriveOpCounts(
+    const Module &M, const std::vector<std::vector<int64_t>> &BlockFreqs) {
+  OpCounts C{};
+  for (unsigned F = 0; F < M.numFunctions(); ++F) {
+    const Function &Fn = M.function(static_cast<FuncId>(F));
+    for (size_t B = 0; B < Fn.Blocks.size(); ++B)
+      for (const Instr &I : Fn.Blocks[B].Instrs)
+        C[static_cast<uint8_t>(I.Op)] +=
+            static_cast<uint64_t>(BlockFreqs[F][B]);
+  }
+  return C;
+}
+
+void ppp::recordOpCounts(const OpCounts &C) {
+  for (unsigned Op = 0; Op < NumOpcodes; ++Op)
+    obs::counter(std::string("interp.op.") +
+                 opcodeName(static_cast<Opcode>(Op)))
+        .inc(C[Op]);
 }
 
 #include "interp/InterpreterLoop.inc"

@@ -23,6 +23,7 @@
 #include "interp/VersionTable.h"
 #include "ir/Module.h"
 
+#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -77,19 +78,27 @@ struct RunResult {
 /// combination of attached objects that something actually runs. run()
 /// picks the row once per call and rejects every other mix with a
 /// diagnostic; each row compiles to its own loop (InterpreterLoop.inc).
-/// The *Stats twins add interpreter telemetry
-/// (obs::interpStatsEnabled()); the last three rows have none.
+/// No row counts for telemetry (see run() and deriveOpCounts()).
 enum class ExecMode : uint8_t {
   Clean,         ///< Nothing attached: the production fast path.
   Observed,      ///< Observers on a clean module (edge profiler, oracle).
   Profiled,      ///< An instrumented module counting into a runtime.
-  CleanStats,
-  ObservedStats,
-  ProfiledStats,
   Trace,         ///< A trace recorder on a clean module.
   TimedTrace,    ///< Trace, plus cost stamps at every Ret.
   Adaptive,      ///< Profiled, plus the epoch hook at every Call.
 };
+
+/// Dynamic executions per opcode, indexed by Opcode.
+using OpCounts = std::array<uint64_t, NumOpcodes>;
+
+/// The opcode counts of a completed run of \p M that entered block B
+/// of function F \p BlockFreqs[F][B] times (each entered block ran to
+/// its terminator).
+OpCounts deriveOpCounts(const Module &M,
+                        const std::vector<std::vector<int64_t>> &BlockFreqs);
+
+/// Adds \p C to the interp.op.<mnemonic> counters.
+void recordOpCounts(const OpCounts &C);
 
 /// Interpreter configuration.
 struct InterpOptions {
@@ -109,8 +118,8 @@ struct InterpOptions {
 /// on first call, and run() executes only the decoded form, resolving
 /// each callee's *current* version at the call boundary. The dispatch
 /// loop is compiled once per ExecMode row, so the common clean-run
-/// case pays no per-event virtual dispatch and no telemetry cost; all
-/// rows produce bit-identical RunResults.
+/// case pays no per-event virtual dispatch; all rows produce
+/// bit-identical RunResults.
 class Interpreter {
 public:
   explicit Interpreter(const Module &M,
@@ -152,12 +161,18 @@ public:
   VersionTable &versions() { return VT; }
   const VersionTable &versions() const { return VT; }
 
-  /// Runs main() to completion (or until fuel runs out).
+  /// Runs main() to completion (or until fuel runs out). With
+  /// obs::interpStatsEnabled(), also reports interp.runs/interp.instrs
+  /// and the attached runtime's table traffic across the run
+  /// (PathTable::addTraffic()) as interp.table.*.
   RunResult run();
 
 private:
   /// The row the attached objects select; aborts on any other mix.
   ExecMode selectMode() const;
+
+  /// Runs the selected row's loop.
+  RunResult runSelected();
 
   template <ExecMode M> RunResult runImpl();
 

@@ -4,20 +4,16 @@
 /// the epoch hook compiled into the Call opcode (every EpochPeriod calls, the attached EpochHook samples the live
 /// PathTable counters and may install or revert code versions in the
 /// VersionTable -- the adaptive controller's sampling point, DESIGN.md
-/// §12). Kept out of Interpreter.cpp for the same measured reason as
-/// InterpreterStats.cpp: the clean fast path's code generation must
-/// not change when adaptive support is compiled in (see
+/// §12). Kept out of Interpreter.cpp on purpose: the clean fast path's code
+/// generation must not change when adaptive support is compiled in (see
 /// interp/InterpreterLoop.inc).
 ///
 /// The hook samples live counters, so the row always has a runtime and
-/// never observers, telemetry or a recorder; run() rejects every other
-/// mix.
+/// never observers or a recorder; run() rejects every other mix.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "interp/Interpreter.h"
-
-#include "obs/Obs.h"
 
 using namespace ppp;
 

@@ -4,10 +4,9 @@
 /// dispatch loop with cost stamps compiled in (every Ret appends the zigzag varint delta of the accumulated cost counter
 /// into the attached trace::TraceRecorder, and chunk seals capture the
 /// absolute cost in the cursor). Kept out of both Interpreter.cpp and
-/// InterpreterTrace.cpp for the same measured reason as
-/// InterpreterStats.cpp: neither the clean fast path's nor the untimed
-/// recording loop's code generation may change when timing support is
-/// compiled in (see interp/InterpreterLoop.inc).
+/// InterpreterTrace.cpp on purpose: neither the clean fast path's nor
+/// the untimed recording loop's code generation may change when timing
+/// support is compiled in (see interp/InterpreterLoop.inc).
 ///
 /// Timing rides the trace stream; run() selects this row off
 /// TraceRecorder::timestampsEnabled().
@@ -15,8 +14,6 @@
 //===----------------------------------------------------------------------===//
 
 #include "interp/Interpreter.h"
-
-#include "obs/Obs.h"
 
 using namespace ppp;
 

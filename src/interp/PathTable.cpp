@@ -58,49 +58,43 @@ void PathTable::increment(int64_t Index) {
   }
 }
 
-void PathTable::incrementStats(int64_t Index, PathProbeStats &S) {
-  ++S.Increments;
+void PathTable::addTraffic(Traffic &T) const {
+  uint64_t Stored = 0;
   switch (TableKind) {
   case Kind::None:
-    ++Invalid;
-    ++S.Invalid;
-    return;
+    break;
   case Kind::Array:
-    if (Index < 0 || static_cast<uint64_t>(Index) >= Counts.size()) {
-      ++Invalid;
-      ++S.Invalid;
-      return;
-    }
-    ++S.Probes;
-    ++Counts[static_cast<size_t>(Index)];
-    return;
-  case Kind::Hash: {
-    if (Index < 0) {
-      ++Invalid;
-      ++S.Invalid;
-      return;
-    }
-    uint64_t Key = static_cast<uint64_t>(Index);
-    uint64_t H = fastRemainder<PathHashSlots>(Key);
-    uint64_t Step = 1 + fastRemainder<PathHashSlots - 2>(Key);
-    for (unsigned Try = 0; Try < PathHashTries; ++Try) {
-      HashSlot &Slot = Slots[H];
-      ++S.Probes;
-      if (Slot.Key == Index || Slot.Count == 0) {
-        Slot.Key = Index;
-        ++Slot.Count;
-        return;
+    for (uint64_t C : Counts)
+      Stored += C;
+    T.Probes += Stored;
+    break;
+  case Kind::Hash:
+    for (size_t Slot = 0; Slot < Slots.size(); ++Slot) {
+      const HashSlot &S = Slots[Slot];
+      if (S.Count == 0)
+        continue;
+      // Walk increment()'s probe sequence for the key to its slot.
+      uint64_t Key = static_cast<uint64_t>(S.Key);
+      uint64_t H = fastRemainder<PathHashSlots>(Key);
+      uint64_t Step = 1 + fastRemainder<PathHashSlots - 2>(Key);
+      uint64_t Pos = 0;
+      for (; H != Slot; ++Pos) {
+        H += Step;
+        if (H >= PathHashSlots)
+          H -= PathHashSlots;
       }
-      ++S.Collisions;
-      H += Step;
-      if (H >= PathHashSlots)
-        H -= PathHashSlots;
+      Stored += S.Count;
+      T.Probes += S.Count * (Pos + 1);
+      T.Collisions += S.Count * Pos;
     }
-    ++Lost;
-    ++S.Lost;
-    return;
+    T.Probes += PathHashTries * Lost;
+    T.Collisions += PathHashTries * Lost;
+    break;
   }
-  }
+  T.Increments += Stored + Lost + Invalid + ColdChecked;
+  T.Lost += Lost;
+  T.Invalid += Invalid;
+  T.Cold += ColdChecked;
 }
 
 void PathTable::add(int64_t Index, uint64_t N) {

@@ -87,19 +87,6 @@ template <uint64_t D> inline uint64_t fastRemainder(uint64_t N) {
 #endif
 }
 
-/// Counter-update statistics accumulated by the interpreter's telemetry
-/// rows (obs::interpStatsEnabled()). Locals in
-/// the dispatch loop, flushed to the obs registry once per run; the
-/// stats-free increment() overloads never touch them.
-struct PathProbeStats {
-  uint64_t Increments = 0; ///< Counter updates attempted.
-  uint64_t Probes = 0;     ///< Hash slots examined (array hits count 1).
-  uint64_t Collisions = 0; ///< Probes that found another path's slot.
-  uint64_t Lost = 0;       ///< Updates dropped after PathHashTries probes.
-  uint64_t Invalid = 0;    ///< Out-of-range indices (backstop counter).
-  uint64_t Cold = 0;       ///< Checked-counting poison hits.
-};
-
 /// A per-function path frequency table.
 class PathTable {
 public:
@@ -118,11 +105,6 @@ public:
 
   /// Records one execution of the path with index \p Index.
   void increment(int64_t Index);
-
-  /// increment() plus probe accounting into \p S. Must mutate the table
-  /// exactly like increment() -- the fastpath guard test pins that the
-  /// telemetry rows are observationally identical.
-  void incrementStats(int64_t Index, PathProbeStats &S);
 
   /// Original-TPP checked counting: negative indices mean the register
   /// was poisoned on a cold edge; they bump the cold counter.
@@ -147,17 +129,6 @@ public:
       ColdChecked += N;
     else
       add(Index, N);
-  }
-
-  /// incrementChecked() with probe accounting into \p S.
-  void incrementCheckedStats(int64_t Index, PathProbeStats &S) {
-    if (Index < 0) {
-      ++ColdChecked;
-      ++S.Increments;
-      ++S.Cold;
-    } else {
-      incrementStats(Index, S);
-    }
   }
 
   /// Cold paths caught by checked counting.
@@ -202,6 +173,23 @@ public:
 
   /// Out-of-range indices (engineering backstop; should be zero).
   uint64_t invalidCount() const { return Invalid; }
+
+  /// Counter-update work, as the interp.table.* metrics report it.
+  struct Traffic {
+    uint64_t Increments = 0; ///< Counter updates attempted.
+    uint64_t Probes = 0;     ///< Hash slots examined (array hits count 1).
+    uint64_t Collisions = 0; ///< Probes that found another path's slot.
+    uint64_t Lost = 0;       ///< Updates dropped after PathHashTries probes.
+    uint64_t Invalid = 0;    ///< Out-of-range indices (backstop counter).
+    uint64_t Cold = 0;       ///< Checked-counting poison hits.
+  };
+
+  /// Adds to \p T the work the counts stored since the last reset()
+  /// imply. Slots are never released before reset(), so a key stored
+  /// at position t of its probe sequence cost t + 1 probes and t
+  /// collisions on every increment, and a lost update PathHashTries of
+  /// each; an array hit costs one probe.
+  void addTraffic(Traffic &T) const;
 
   /// Array variant size (0 for other kinds).
   uint64_t arraySize() const {

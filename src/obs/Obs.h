@@ -214,12 +214,11 @@ bool writeMetricsJson(const std::string &Path,
 // Interpreter profiling gate
 //===----------------------------------------------------------------------===//
 
-/// True when the interpreter should run its telemetry-instrumented
-/// dispatch specialization (per-opcode dispatch counts, PathTable probe
-/// stats): PPP_INTERP_STATS=1, or implicitly whenever a PPP_METRICS run
-/// report is requested so the report covers the interp subsystem.
-/// Enabling this never changes any experiment output, only what flows
-/// into the registry.
+/// True when interpreter runs should report the interp.* metrics they
+/// derive (per-opcode counts, PathTable probe stats): PPP_INTERP_STATS=1,
+/// or implicitly whenever a PPP_METRICS run report is requested so the
+/// report covers the interp subsystem. Enabling this never changes any
+/// experiment output, only what flows into the registry.
 bool interpStatsEnabled();
 
 /// Test hook: 1 = force on, 0 = force off, -1 = environment-driven.

@@ -44,6 +44,24 @@ void appendOps(std::vector<ProfOp> &Out, const EdgeOps &O,
   }
 }
 
+/// Where a real edge's ops go: on the source (its only successor), on
+/// the target (its only predecessor, never block 0), or in a new block.
+enum class EdgeSite : uint8_t { Source, Target, Split };
+
+EdgeSite edgeSite(const CfgView &Cfg, int EdgeId) {
+  const CfgEdge &E = Cfg.edge(EdgeId);
+  if (Cfg.outEdges(E.Src).size() == 1)
+    return EdgeSite::Source;
+  if (E.Dst != 0 && Cfg.inEdges(E.Dst).size() == 1)
+    return EdgeSite::Target;
+  return EdgeSite::Split;
+}
+
+/// Entry ops on a loop-header entry block need an invocation stub.
+bool needsEntryStub(const CfgView &Cfg, const SiteOps &Sites) {
+  return !Sites.EntryOps.empty() && !Cfg.inEdges(0).empty();
+}
+
 Instr makeInstr(const ProfOp &P) {
   Instr I;
   I.Op = P.Op;
@@ -124,11 +142,12 @@ uint64_t ppp::lowerInstrumentation(Function &F, const CfgView &OrigCfg,
     if (Ops.empty())
       continue;
     const CfgEdge &E = OrigCfg.edge(EdgeId);
-    if (OrigCfg.outEdges(E.Src).size() == 1) {
+    EdgeSite Site = edgeSite(OrigCfg, EdgeId);
+    if (Site == EdgeSite::Source) {
       InsertBeforeTerminator(E.Src, Ops);
       continue;
     }
-    if (E.Dst != 0 && OrigCfg.inEdges(E.Dst).size() == 1) {
+    if (Site == EdgeSite::Target) {
       InsertAtTop(E.Dst, Ops);
       continue;
     }
@@ -154,7 +173,7 @@ uint64_t ppp::lowerInstrumentation(Function &F, const CfgView &OrigCfg,
   // predecessors (it is a loop header), divert its body into a fresh
   // block and leave block 0 as a pure invocation stub. ---
   if (!Sites.EntryOps.empty()) {
-    if (OrigCfg.inEdges(0).empty()) {
+    if (!needsEntryStub(OrigCfg, Sites)) {
       InsertAtTop(0, Sites.EntryOps);
     } else {
       BlockId BodyId = static_cast<BlockId>(F.Blocks.size());
@@ -179,4 +198,21 @@ uint64_t ppp::lowerInstrumentation(Function &F, const CfgView &OrigCfg,
     }
   }
   return Added;
+}
+
+std::vector<int64_t> ppp::loweredBlockFreqs(const CfgView &OrigCfg,
+                                            const SiteOps &Sites,
+                                            const FunctionEdgeProfile &EP) {
+  std::vector<int64_t> Freq;
+  for (BlockId B = 0; B < static_cast<BlockId>(OrigCfg.numBlocks()); ++B)
+    Freq.push_back(EP.blockFreq(OrigCfg, B));
+  // Splits are appended in lowerInstrumentation()'s EdgeOps order.
+  for (const auto &[EdgeId, Ops] : Sites.EdgeOps)
+    if (!Ops.empty() && edgeSite(OrigCfg, EdgeId) == EdgeSite::Split)
+      Freq.push_back(EP.EdgeFreq[static_cast<size_t>(EdgeId)]);
+  if (needsEntryStub(OrigCfg, Sites)) {
+    Freq.push_back(Freq[0]);
+    Freq[0] = EP.Invocations;
+  }
+  return Freq;
 }

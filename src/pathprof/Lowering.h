@@ -21,6 +21,7 @@
 
 #include "analysis/BLDag.h"
 #include "pathprof/Placement.h"
+#include "profile/EdgeProfile.h"
 
 #include <map>
 #include <vector>
@@ -58,6 +59,15 @@ SiteOps finalizeSites(const BLDag &Dag, const PlacementResult &Placement,
 /// before any rewriting. Returns the number of instructions added.
 uint64_t lowerInstrumentation(Function &F, const CfgView &OrigCfg,
                               const SiteOps &Sites);
+
+/// Block execution counts of lowerInstrumentation(F, OrigCfg, Sites)'s
+/// output on the input where the clean function had edge profile \p EP.
+/// Blocks keep their ids and counts; a split block runs once per
+/// traversal of its edge; an entry stub (block 0) once per invocation,
+/// and the relocated entry body as often as clean block 0.
+std::vector<int64_t> loweredBlockFreqs(const CfgView &OrigCfg,
+                                       const SiteOps &Sites,
+                                       const FunctionEdgeProfile &EP);
 
 } // namespace ppp
 

@@ -312,6 +312,15 @@ ProfileRuntime InstrumentationResult::makeRuntime() const {
   return RT;
 }
 
+std::vector<std::vector<int64_t>>
+InstrumentationResult::blockFreqs(const EdgeProfile &CleanEP) const {
+  std::vector<std::vector<int64_t>> Out;
+  for (size_t I = 0; I < Plans.size(); ++I)
+    Out.push_back(loweredBlockFreqs(*Plans[I].Cfg, Plans[I].Sites,
+                                    CleanEP.Funcs[I]));
+  return Out;
+}
+
 CountsMessage ppp::countsFromRun(const std::string &Benchmark,
                                  const InstrumentationResult &IR,
                                  const ProfileRuntime &RT,

@@ -246,6 +246,11 @@ struct InstrumentationResult {
 
   /// Fresh zeroed counter tables matching the plans.
   ProfileRuntime makeRuntime() const;
+
+  /// Per-function block execution counts of Instrumented on the input
+  /// where the clean module had edge profile \p CleanEP.
+  std::vector<std::vector<int64_t>>
+  blockFreqs(const EdgeProfile &CleanEP) const;
 };
 
 /// Validates \p O's numeric knobs. Returns an empty string when every

@@ -2,6 +2,8 @@
 
 #include "profile/Collectors.h"
 
+#include "obs/Obs.h"
+
 using namespace ppp;
 
 CleanProfile ppp::profileClean(const Module &M, const InterpOptions &IO) {
@@ -14,6 +16,19 @@ CleanProfile ppp::profileClean(const Module &M, const InterpOptions &IO) {
   Out.Res = I.run();
   Out.EP = EdgeObs.takeProfile();
   Out.Oracle = PathObs.takeProfile();
+  if (obs::interpStatsEnabled() && !Out.Res.FuelExhausted)
+    recordOpCounts(deriveOpCounts(M, blockFreqs(M, Out.EP)));
+  return Out;
+}
+
+std::vector<std::vector<int64_t>> ppp::blockFreqs(const Module &M,
+                                                  const EdgeProfile &EP) {
+  std::vector<std::vector<int64_t>> Out(M.numFunctions());
+  for (unsigned F = 0; F < M.numFunctions(); ++F) {
+    CfgView Cfg(M.function(static_cast<FuncId>(F)));
+    for (BlockId B = 0; B < static_cast<BlockId>(Cfg.numBlocks()); ++B)
+      Out[F].push_back(EP.Funcs[F].blockFreq(Cfg, B));
+  }
   return Out;
 }
 

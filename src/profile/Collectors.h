@@ -87,9 +87,15 @@ struct CleanProfile {
 
 /// Runs \p M once under \p IO with an EdgeProfiler and a PathTracer
 /// attached. On a hang Res.FuelExhausted is set and the profiles hold
-/// whatever was observed before fuel ran out; callers check it.
+/// whatever was observed before fuel ran out; callers check it. With
+/// obs::interpStatsEnabled(), a completed run records its interp.op.*.
 CleanProfile profileClean(const Module &M,
                           const InterpOptions &IO = InterpOptions());
+
+/// Per-function block execution counts of \p M's run that produced
+/// \p EP.
+std::vector<std::vector<int64_t>> blockFreqs(const Module &M,
+                                             const EdgeProfile &EP);
 
 } // namespace ppp
 

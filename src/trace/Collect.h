@@ -35,12 +35,15 @@ class PathTimingProfile;
 /// IR.makeRuntime(). \p IO's cost model is both the run's and the
 /// decoder's. For a timed trace plan (Options.TraceTimestamps), pass
 /// \p Timing to also accumulate the per-path cost attribution; it is
-/// ignored otherwise. Returns false with \p Error set when the run
+/// ignored otherwise. With obs::interpStatsEnabled(), pass \p CleanEP,
+/// \p CleanM's edge profile on the same input, to record the run's
+/// interp.op.* counts. Returns false with \p Error set when the run
 /// exhausts its fuel or the recording fails to decode; \p RT may then
 /// hold a partial profile.
 bool collect(const Module &CleanM, const InstrumentationResult &IR,
              const InterpOptions &IO, ProfileRuntime &RT, RunResult &Res,
-             std::string &Error, PathTimingProfile *Timing = nullptr);
+             std::string &Error, PathTimingProfile *Timing = nullptr,
+             const EdgeProfile *CleanEP = nullptr);
 
 } // namespace trace
 } // namespace ppp

@@ -114,14 +114,12 @@ double PathTimingProfile::meanFunctionCost(FuncId F) const {
 }
 
 void PathTimingProfile::flushMetrics() const {
-  obs::gauge("trace.timing.paths").set(static_cast<double>(Paths.size()));
-  obs::gauge("trace.timing.executions").set(static_cast<double>(Execs));
-  obs::gauge("trace.timing.total_cost").set(static_cast<double>(Total));
-  obs::gauge("trace.timing.attributed_cost")
-      .set(static_cast<double>(Attributed));
-  obs::gauge("trace.timing.unattributed_cost")
-      .set(static_cast<double>(Unattributed));
-  obs::gauge("trace.timing.windows").set(static_cast<double>(Windows.size()));
-  obs::gauge("trace.timing.phase_boundaries")
-      .set(static_cast<double>(phaseBoundaries().size()));
+  obs::counter("trace.timing.paths").inc(Paths.size());
+  obs::counter("trace.timing.executions").inc(Execs);
+  obs::counter("trace.timing.total_cost").inc(Total);
+  obs::counter("trace.timing.attributed_cost").inc(Attributed);
+  obs::counter("trace.timing.unattributed_cost").inc(Unattributed);
+  obs::counter("trace.timing.windows").inc(Windows.size());
+  obs::counter("trace.timing.phase_boundaries")
+      .inc(phaseBoundaries().size());
 }

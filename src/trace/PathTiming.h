@@ -136,7 +136,8 @@ public:
   /// the decode completes and before reading windows().
   void finishPhases();
 
-  /// Publishes trace.timing.* metrics into the obs registry.
+  /// Adds this profile's trace.timing.* counts to the obs registry, so
+  /// a report covering several timed runs holds their sums.
   void flushMetrics() const;
 
 private:

@@ -490,26 +490,30 @@ TEST(InterpModeDeathTest, ProfOpWithoutRuntime) {
                         "ProfileRuntime");
 }
 
-TEST(InterpMode, RowsWithoutStatsAreCounted) {
-  // Trace, timed-trace and adaptive rows have no telemetry twin: with
-  // telemetry on, each run bumps its row's stats_skipped counter
-  // instead of recording interp.* data.
+TEST(InterpMode, TraceAndAdaptiveRowsReportTelemetry) {
+  // No row has a counting twin: with telemetry on, run() reports every
+  // row's interp.runs / interp.instrs from its RunResult, and the
+  // adaptive row (which has a runtime) its table traffic too.
   Module M = countingModule();
   ProfileRuntime RT = countingRuntime();
   NullHook Hook;
-  auto Skipped = [](const char *Row) {
-    return obs::counter(std::string("interp.stats_skipped.") + Row).value();
-  };
-  uint64_t Trace0 = Skipped("trace");
-  uint64_t Timed0 = Skipped("timed_trace");
-  uint64_t Adapt0 = Skipped("adaptive");
-  uint64_t Runs0 = obs::counter("interp.runs").value();
+  auto Value = [](const char *Name) { return obs::counter(Name).value(); };
+  uint64_t Runs0 = Value("interp.runs");
+  uint64_t Instrs0 = Value("interp.instrs");
+  uint64_t Incs0 = Value("interp.table.increments");
+  uint64_t Probes0 = Value("interp.table.probes");
 
   obs::setInterpStatsForTesting(1);
   Interpreter A(M);
   A.setProfileRuntime(&RT);
   A.setEpochHook(&Hook, 1);
-  A.run();
+  RunResult RA = A.run();
+  A.run(); // The table keeps its count; only this run's update is new.
+  EXPECT_EQ(RT.table(0).countFor(0), 2u);
+  EXPECT_EQ(Value("interp.runs"), Runs0 + 2);
+  EXPECT_EQ(Value("interp.table.increments"), Incs0 + 2);
+  EXPECT_EQ(Value("interp.table.probes"), Probes0 + 2);
+
   Module Clean;
   IRBuilder B(Clean);
   B.beginFunction("main", 0);
@@ -518,17 +522,19 @@ TEST(InterpMode, RowsWithoutStatsAreCounted) {
   trace::TraceRecorder Rec, TimedRec(trace::DefaultTraceChunkBytes, true);
   Interpreter T(Clean);
   T.setTraceRecorder(&Rec);
-  T.run();
+  RunResult RT1 = T.run();
   T.setTraceRecorder(&TimedRec);
-  T.run();
-  obs::setInterpStatsForTesting(0);
-  A.run(); // Telemetry off: nothing was skipped.
-  obs::setInterpStatsForTesting(-1);
+  RunResult RT2 = T.run();
+  EXPECT_EQ(Value("interp.runs"), Runs0 + 4);
+  EXPECT_EQ(Value("interp.instrs"),
+            Instrs0 + 2 * RA.DynInstrs + RT1.DynInstrs + RT2.DynInstrs);
+  EXPECT_EQ(Value("interp.table.increments"), Incs0 + 2);
 
-  EXPECT_EQ(Skipped("trace"), Trace0 + 1);
-  EXPECT_EQ(Skipped("timed_trace"), Timed0 + 1);
-  EXPECT_EQ(Skipped("adaptive"), Adapt0 + 1);
-  EXPECT_EQ(obs::counter("interp.runs").value(), Runs0);
+  obs::setInterpStatsForTesting(0);
+  A.run(); // Telemetry off: nothing is reported.
+  obs::setInterpStatsForTesting(-1);
+  EXPECT_EQ(Value("interp.runs"), Runs0 + 4);
+  EXPECT_EQ(Value("interp.table.increments"), Incs0 + 2);
 }
 
 } // namespace

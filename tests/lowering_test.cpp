@@ -163,6 +163,75 @@ TEST(Lowering, EntryOpsAtTopWhenEntryHasNoPreds) {
   EXPECT_EQ(verifyModule(Clone), "");
 }
 
+TEST(Lowering, EntryStubBlockFrequenciesDeriveOpCounts) {
+  // loop(n): b0 is the loop header, so entry ops need a stub.
+  //   b0:   z = 0; c = z < n; condbr c, body, exit
+  //   body: n = n - 1; c = z < n; condbr c, b0, exit
+  //   exit: ret n
+  // main calls loop(3): b0 and body run three times, exit once, the
+  // back edge body -> b0 twice.
+  Module M;
+  IRBuilder B(M);
+  B.beginFunction("loop", 1);
+  RegId N = 0;
+  BlockId Body = B.newBlock(), Exit = B.newBlock();
+  RegId Z = B.emitConst(0);
+  RegId C = B.emitBinary(Opcode::CmpLt, Z, N);
+  B.emitCondBr(C, Body, Exit);
+  B.setInsertPoint(Body);
+  B.emitAddImm(N, -1, N);
+  B.emitBinary(Opcode::CmpLt, Z, N, C);
+  B.emitCondBr(C, 0, Exit);
+  B.setInsertPoint(Exit);
+  B.emitRet(N);
+  B.endFunction();
+  M.MainId = B.beginFunction("main", 0);
+  B.emitRet(B.emitCall(0, {B.emitConst(3)}));
+  B.endFunction();
+  ASSERT_EQ(verifyModule(M), "");
+
+  // Entry ops plus ops on both critical edges out of body (into block
+  // 0, and into the two-predecessor exit): two splits, then the stub.
+  CfgView Cfg(M.function(0));
+  SiteOps Sites;
+  Sites.EntryOps = {{Opcode::ProfSet, 0}};
+  Sites.EdgeOps[Cfg.edgeIdFor(Body, 0)] = {{Opcode::ProfAdd, 1}};
+  Sites.EdgeOps[Cfg.edgeIdFor(Body, 1)] = {{Opcode::ProfAdd, 2}};
+  Module Clone = M;
+  lowerInstrumentation(Clone.function(0), Cfg, Sites);
+  ASSERT_EQ(verifyModule(Clone), "");
+  ASSERT_EQ(Clone.function(0).numBlocks(), 6u);
+  const BasicBlock &Stub = Clone.function(0).block(0);
+  ASSERT_EQ(Stub.Instrs.size(), 2u);
+  EXPECT_EQ(Stub.Instrs[0].Op, Opcode::ProfSet);
+  EXPECT_EQ(Stub.Instrs[1].Op, Opcode::Br);
+
+  ProfiledRun Clean = profileModule(M);
+  std::vector<std::vector<int64_t>> Freqs = blockFreqs(M, Clean.EP);
+  // Stub once, relocated body three times, splits once per traversal.
+  Freqs[0] = loweredBlockFreqs(Cfg, Sites, Clean.EP.Funcs[0]);
+  EXPECT_EQ(Freqs[0], (std::vector<int64_t>{1, 3, 1, 2, 1, 3}));
+
+  OpCounts Want{};
+  auto Set = [&Want](Opcode Op, uint64_t N) {
+    Want[static_cast<uint8_t>(Op)] = N;
+  };
+  Set(Opcode::Const, 3 + 1);      // z per header visit, main's 3.
+  Set(Opcode::CmpLt, 3 + 3);      // Header and body.
+  Set(Opcode::CondBr, 3 + 3);
+  Set(Opcode::AddImm, 3);
+  Set(Opcode::Ret, 1 + 1);
+  Set(Opcode::Call, 1);
+  Set(Opcode::ProfSet, 1);        // The stub, once per invocation.
+  Set(Opcode::ProfAdd, 2 + 1);    // body -> b0 twice, body -> exit once.
+  Set(Opcode::Br, 1 + 2 + 1);     // Stub and both splits.
+  EXPECT_EQ(deriveOpCounts(Clone, Freqs), Want);
+
+  RunResult R = Interpreter(Clone).run();
+  EXPECT_EQ(R.ReturnValue, 0);
+  EXPECT_EQ(R.DynInstrs, 30u); // The sum of Want.
+}
+
 TEST(Lowering, SiteOpsCountsOps) {
   SiteOps S;
   S.EntryOps = {{Opcode::ProfSet, 0}};

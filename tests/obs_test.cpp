@@ -400,57 +400,65 @@ TEST(ObsInterpStats, TableIncrementsRecorded) {
 }
 
 //===----------------------------------------------------------------------===//
-// PathTable stats overloads
+// PathTable::addTraffic()
 //===----------------------------------------------------------------------===//
 
-TEST(ObsPathTable, IncrementStatsMutatesIdentically) {
-  // Array variant: in-range, out-of-range, repeated.
-  std::vector<int64_t> ArraySeq = {0, 5, 9, 5, 12, -1, 0};
-  PathTable A = PathTable::makeArray(10);
-  PathTable B = PathTable::makeArray(10);
-  PathProbeStats S;
-  for (int64_t Idx : ArraySeq) {
-    A.increment(Idx);
-    B.incrementStats(Idx, S);
-  }
-  for (int64_t Idx = 0; Idx < 10; ++Idx)
-    EXPECT_EQ(A.countFor(Idx), B.countFor(Idx)) << Idx;
-  EXPECT_EQ(A.invalidCount(), B.invalidCount());
-  EXPECT_EQ(B.invalidCount(), 2u);
-  EXPECT_EQ(S.Increments, ArraySeq.size());
-  EXPECT_EQ(S.Invalid, 2u);
-  EXPECT_EQ(S.Probes, ArraySeq.size() - 2); // One probe per valid hit.
-  EXPECT_EQ(S.Collisions, 0u);
-  EXPECT_EQ(S.Lost, 0u);
+/// The probe accounting addTraffic() derives from stored counts equals
+/// what per-increment counting recorded for the same sequences (the
+/// expected numbers were measured with the per-increment counters the
+/// derivation replaced).
+TEST(ObsPathTable, TrafficMatchesPerIncrementCounts) {
+  auto Expect = [](const PathTable &Table, uint64_t Increments,
+                   uint64_t Probes, uint64_t Collisions, uint64_t Lost,
+                   uint64_t Invalid, uint64_t Cold) {
+    PathTable::Traffic T;
+    Table.addTraffic(T);
+    EXPECT_EQ(T.Increments, Increments);
+    EXPECT_EQ(T.Probes, Probes);
+    EXPECT_EQ(T.Collisions, Collisions);
+    EXPECT_EQ(T.Lost, Lost);
+    EXPECT_EQ(T.Invalid, Invalid);
+    EXPECT_EQ(T.Cold, Cold);
+  };
 
-  // Hash variant: enough distinct keys to force collisions and losses.
-  PathTable HA = PathTable::makeHash();
-  PathTable HB = PathTable::makeHash();
-  PathProbeStats HS;
-  for (int64_t Idx = 0; Idx < 5000; ++Idx) {
-    HA.increment(Idx);
-    HB.incrementStats(Idx, HS);
-  }
-  std::vector<std::pair<int64_t, uint64_t>> CA, CB;
-  HA.forEach([&](int64_t K, uint64_t C) { CA.emplace_back(K, C); });
-  HB.forEach([&](int64_t K, uint64_t C) { CB.emplace_back(K, C); });
-  EXPECT_EQ(CA, CB);
-  EXPECT_EQ(HA.lostCount(), HB.lostCount());
-  EXPECT_EQ(HS.Increments, 5000u);
-  EXPECT_EQ(HS.Lost, HB.lostCount());
-  EXPECT_GT(HS.Lost, 0u); // 5000 keys into 701 slots must lose some.
-  EXPECT_GT(HS.Collisions, 0u);
-  EXPECT_GE(HS.Probes, HS.Increments); // At least one probe per update.
+  // Array variant: in-range, out-of-range, repeated.
+  PathTable A = PathTable::makeArray(10);
+  for (int64_t Idx : {0, 5, 9, 5, 12, -1, 0})
+    A.increment(Idx);
+  Expect(A, 7, 5, 0, 0, 2, 0);
+
+  // Hash variant: 5000 distinct keys into 701 slots.
+  PathTable H = PathTable::makeHash();
+  for (int64_t Idx = 0; Idx < 5000; ++Idx)
+    H.increment(Idx);
+  Expect(H, 5000, 13598, 12897, 4299, 0, 0);
+
+  // Hand count: 701 and 1402 share key 0's home slot. 701 (step 3)
+  // lands behind keys 0 and 3 at position 2, twice: 3 probes and 2
+  // collisions each. 1402 (step 5) finds 0, 5 and 10 taken: lost after
+  // 3 probes and 3 collisions.
+  PathTable P = PathTable::makeHash();
+  for (int64_t Idx : {0, 3, 5, 10, 701, 701, 1402})
+    P.increment(Idx);
+  EXPECT_EQ(P.countFor(701), 2u);
+  Expect(P, 7, 13, 7, 1, 0, 0);
+  P.increment(701);
+  Expect(P, 8, 16, 9, 1, 0, 0);
+  P.reset();
+  Expect(P, 0, 0, 0, 0, 0, 0);
 
   // Checked counting: poison indices count as cold, not as probes.
-  PathProbeStats CS;
-  PathTable CT = PathTable::makeArray(4);
-  CT.incrementCheckedStats(-7, CS);
-  CT.incrementCheckedStats(2, CS);
-  EXPECT_EQ(CT.coldCheckedCount(), 1u);
-  EXPECT_EQ(CT.countFor(2), 1u);
-  EXPECT_EQ(CS.Cold, 1u);
-  EXPECT_EQ(CS.Increments, 2u);
+  PathTable C = PathTable::makeArray(4);
+  C.incrementChecked(-7);
+  C.incrementChecked(2);
+  Expect(C, 2, 1, 0, 0, 0, 1);
+
+  // Traffic accumulates across tables.
+  PathTable::Traffic Sum;
+  A.addTraffic(Sum);
+  C.addTraffic(Sum);
+  EXPECT_EQ(Sum.Increments, 9u);
+  EXPECT_EQ(Sum.Probes, 6u);
 }
 
 //===----------------------------------------------------------------------===//

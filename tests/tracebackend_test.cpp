@@ -16,6 +16,7 @@
 #include "Harness.h"
 
 #include "interp/Interpreter.h"
+#include "obs/Obs.h"
 #include "pathprof/Profilers.h"
 #include "trace/Collect.h"
 #include "trace/PathTiming.h"
@@ -703,6 +704,47 @@ TEST(Collect, TraceBackendsFillTheCounterBackendsTables) {
       EXPECT_NE(Res.Cost, CounterRes.Cost) << Name << " " << Opts.Name;
     }
   }
+}
+
+/// trace.timing.* are counters summed over flushes: a report covering
+/// two timed collect() runs holds the sum of both profiles' values, not
+/// the last one's.
+TEST(Collect, FlushedTimingMetricsSumOverRuns) {
+  PathTimingProfile Timings[2];
+  const char *Names[2] = {"vpr", "crafty"};
+  for (int X = 0; X < 2; ++X) {
+    PreparedBenchmark B = prepare(*findBenchmark(Names[X]));
+    InterpOptions IO;
+    IO.Costs = B.Costs;
+    InstrumentationResult IR =
+        instrumentModule(B.Expanded, B.EP, ProfilerOptions::traceTimed());
+    ProfileRuntime RT = IR.makeRuntime();
+    RunResult Res;
+    std::string Err;
+    ASSERT_TRUE(collect(B.Expanded, IR, IO, RT, Res, Err, &Timings[X]))
+        << Names[X] << ": " << Err;
+    Timings[X].finishPhases();
+  }
+  const PathTimingProfile &A = Timings[0], &B = Timings[1];
+  ASSERT_NE(A.totalCost(), B.totalCost());
+  obs::Registry::instance().resetForTesting();
+  A.flushMetrics();
+  B.flushMetrics();
+  obs::MetricsSnapshot Snap = obs::snapshot();
+  EXPECT_EQ(Snap.counter("trace.timing.paths"),
+            A.paths().size() + B.paths().size());
+  EXPECT_EQ(Snap.counter("trace.timing.executions"),
+            A.executions() + B.executions());
+  EXPECT_EQ(Snap.counter("trace.timing.total_cost"),
+            A.totalCost() + B.totalCost());
+  EXPECT_EQ(Snap.counter("trace.timing.attributed_cost"),
+            A.attributedCost() + B.attributedCost());
+  EXPECT_EQ(Snap.counter("trace.timing.unattributed_cost"),
+            A.unattributedCost() + B.unattributedCost());
+  EXPECT_EQ(Snap.counter("trace.timing.windows"),
+            A.windows().size() + B.windows().size());
+  EXPECT_EQ(Snap.counter("trace.timing.phase_boundaries"),
+            A.phaseBoundaries().size() + B.phaseBoundaries().size());
 }
 
 /// A run that exhausts its fuel fails collect() with a message under

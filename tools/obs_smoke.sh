@@ -8,7 +8,11 @@
 #   2. The trace file is valid Chrome trace_event JSON and the metrics
 #      file is a valid ppp-metrics-v1 report.
 #   3. The report covers every instrumented subsystem: interp., pass.,
-#      cache., and bench.pool. keys are all present.
+#      cache., and bench.pool. keys are all present; the derived
+#      interpreter telemetry is nonzero (an interp.op.* counter and
+#      interp.table.probes), the timed-trace profile is reported as
+#      trace.timing.* counters, and no interp.stats_skipped.* key
+#      appears.
 #
 # Usage: tools/obs_smoke.sh [BUILD_DIR]   (default: <repo>/build)
 set -eu
@@ -70,10 +74,22 @@ for prefix in interp. pass. cache.prep. bench.pool.; do
     exit 1
   fi
 done
+sed -n '/"counters": {/,/^  }/p' "$WORK/metrics.json" >"$WORK/counters"
+for pattern in '"interp\.op\.[a-z.]*": [1-9]' '"interp\.table\.probes": [1-9]' \
+    '"trace\.timing\.[a-z_]*": [1-9]'; do
+  if ! grep -q "$pattern" "$WORK/counters"; then
+    echo "obs_smoke: no nonzero counter matching $pattern" >&2
+    exit 1
+  fi
+done
+if grep -q '"interp\.stats_skipped\.' "$WORK/metrics.json"; then
+  echo "obs_smoke: the report still names interp.stats_skipped.* keys" >&2
+  exit 1
+fi
 if ! grep -q "pass statistics" "$WORK/on.err"; then
   echo "obs_smoke: PPP_PASS_STATS=1 printed no stats table on stderr" >&2
   exit 1
 fi
-echo "ok: interp/pass/cache/pool subsystems all reported"
+echo "ok: interp/pass/cache/pool subsystems all reported, derived counts nonzero"
 
 echo "obs_smoke: PASS"

@@ -156,7 +156,7 @@ CountsMessage buildRunMessage(const std::string &BenchName,
   IO.Costs = B.Costs;
   RunResult Res;
   std::string Error;
-  if (!trace::collect(B.Expanded, IR, IO, RT, Res, Error)) {
+  if (!trace::collect(B.Expanded, IR, IO, RT, Res, Error, nullptr, &B.EP)) {
     fprintf(stderr, "error: %s: %s\n", BenchName.c_str(), Error.c_str());
     exit(1);
   }

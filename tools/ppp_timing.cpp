@@ -307,7 +307,7 @@ int main(int Argc, char **Argv) {
     IO.Costs = B.Costs;
     RunResult Res;
     std::string Err;
-    if (!trace::collect(B.Expanded, IR, IO, RT, Res, Err)) {
+    if (!trace::collect(B.Expanded, IR, IO, RT, Res, Err, nullptr, &B.EP)) {
       std::fprintf(stderr, "error: %s: %s\n", Bench.c_str(), Err.c_str());
       return 1;
     }
