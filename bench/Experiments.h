@@ -11,8 +11,8 @@
 /// Contract: a run function writes its complete report to stdout and
 /// returns a process exit code; the full suite's stdout is pinned by
 /// tests/golden/suite_all.txt. Experiments whose output is wall-clock
-/// dependent (interp_throughput, counters_microbench) are deliberately
-/// not part of this registry.
+/// dependent (the wall-clock benches interp_throughput and
+/// adaptive_steadystate) are deliberately not part of this registry.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -207,7 +207,7 @@ ProfilerOutcome ppp::bench::runProfiler(const PreparedBenchmark &B,
 
 bool ppp::bench::decodeTraceParallel(const trace::TraceDecoder &Dec,
                                      const trace::TraceRecording &R,
-                                     ProfileRuntime &RT,
+                                     unsigned Jobs, ProfileRuntime &RT,
                                      trace::DecodeStats &DS,
                                      std::string &Error,
                                      trace::PathTimingProfile *Timing) {
@@ -225,7 +225,7 @@ bool ppp::bench::decodeTraceParallel(const trace::TraceDecoder &Dec,
   for (size_t I = 0; I < R.Chunks.size(); ++I)
     Tasks.push_back({I, formatString("chunk%zu", I)});
   std::vector<ChunkOut> Outs = runParallel(
-      Tasks, [](const Task &T) -> const std::string & { return T.Label; },
+      Tasks, Jobs, [](const Task &T) -> const std::string & { return T.Label; },
       [&](const Task &T) {
         ChunkOut O;
         O.Ok = Dec.decodeChunk(R, T.Idx, O.Res, O.Err);

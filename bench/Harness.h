@@ -115,7 +115,7 @@ ProfilerOutcome runProfiler(const PreparedBenchmark &B,
                             FunctionAnalysisManager *FAM = nullptr);
 
 /// Parallel trace decode: fans decodeChunk() out over \p R's chunks on
-/// a runParallel() pool (PPP_JOBS workers), then stitches sequentially
+/// a runParallel() pool of \p Jobs workers, then stitches sequentially
 /// into \p RT. Chunk replay is order-independent and stitch() validates
 /// every boundary, so the result is identical to TraceDecoder::decode()
 /// at any job count. Returns false (with \p Error set, \p RT possibly
@@ -124,8 +124,9 @@ ProfilerOutcome runProfiler(const PreparedBenchmark &B,
 /// per-path cost-attribution profile; stitch() feeds it sequentially,
 /// so it too is identical at any job count.
 bool decodeTraceParallel(const trace::TraceDecoder &Dec,
-                         const trace::TraceRecording &R, ProfileRuntime &RT,
-                         trace::DecodeStats &DS, std::string &Error,
+                         const trace::TraceRecording &R, unsigned Jobs,
+                         ProfileRuntime &RT, trace::DecodeStats &DS,
+                         std::string &Error,
                          trace::PathTimingProfile *Timing = nullptr);
 
 /// Accuracy and coverage of the plain edge profile (the "edge
@@ -149,9 +150,10 @@ std::vector<uint64_t> kiterAxis();
 /// unchanged.
 ProfilerOptions atKIterations(ProfilerOptions Base, uint64_t K);
 
-/// Worker count for runSuiteParallel: the PPP_JOBS environment variable
-/// when set (clamped to >= 1), otherwise hardware concurrency; never
-/// more than \p NumTasks.
+/// The user's worker count for \p NumTasks tasks, which runSuiteParallel
+/// and the tools pass on to runParallel(): the PPP_JOBS environment
+/// variable when set (clamped to >= 1), otherwise hardware concurrency;
+/// never more than \p NumTasks.
 unsigned parallelJobs(size_t NumTasks);
 
 /// Telemetry bookkeeping for one runParallel() pool: worker naming
@@ -185,19 +187,19 @@ private:
   std::chrono::steady_clock::time_point Start;
 };
 
-/// Runs \p Work(Item) for every item on a pool of parallelJobs()
-/// threads and returns the results in input order, regardless of
-/// completion order. \p Name(Item) labels the item's trace span
-/// ("task:<name>"). Work must be deterministic per item and must not
-/// print (print from the returned rows); under those rules the results
-/// are identical to a serial loop.
+/// Runs \p Work(Item) for every item on a pool of \p Jobs threads (the
+/// calling thread alone when \p Jobs <= 1) and returns the results in
+/// input order, regardless of completion order. \p Name(Item) labels the
+/// item's trace span ("task:<name>"). Work must be deterministic per
+/// item and must not print (print from the returned rows); under those
+/// rules the results are identical to a serial loop.
 template <typename T, typename NameFn, typename WorkFn>
-auto runParallel(const std::vector<T> &Items, NameFn Name, WorkFn Work)
+auto runParallel(const std::vector<T> &Items, unsigned Jobs, NameFn Name,
+                 WorkFn Work)
     -> std::vector<std::invoke_result_t<WorkFn, const T &>> {
   using Result = std::invoke_result_t<WorkFn, const T &>;
   using Clock = std::chrono::steady_clock;
   std::vector<Result> Out(Items.size());
-  unsigned Jobs = parallelJobs(Items.size());
   PoolTelemetry Tel(Jobs, Items.size());
   std::atomic<size_t> Next{0};
   auto Worker = [&](unsigned W) {
@@ -231,16 +233,17 @@ auto runParallel(const std::vector<T> &Items, NameFn Name, WorkFn Work)
   return Out;
 }
 
-/// runParallel() over the benchmark suite, with spans labeled by
-/// benchmark name. Each prepare()/runProfiler() pipeline is
-/// deterministic and touches only per-benchmark state, so the results
-/// (and anything printed from them afterwards, in order) are identical
-/// to a serial loop.
+/// runParallel() over the benchmark suite on parallelJobs() workers,
+/// with spans labeled by benchmark name. Each prepare()/runProfiler()
+/// pipeline is deterministic and touches only per-benchmark state, so
+/// the results (and anything printed from them afterwards, in order)
+/// are identical to a serial loop.
 template <typename WorkFn>
 auto runSuiteParallel(const std::vector<BenchmarkSpec> &Specs, WorkFn Work)
     -> std::vector<std::invoke_result_t<WorkFn, const BenchmarkSpec &>> {
   return runParallel(
-      Specs, [](const BenchmarkSpec &Spec) -> const std::string & {
+      Specs, parallelJobs(Specs.size()),
+      [](const BenchmarkSpec &Spec) -> const std::string & {
         return Spec.Name;
       },
       Work);

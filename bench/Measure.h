@@ -81,6 +81,14 @@ std::vector<size_t> mirroredOrder(size_t NumVariants, unsigned HalfRounds);
 Samples measure(const std::vector<std::function<void()>> &Variants,
                 unsigned Warmup, unsigned Reps);
 
+/// A compiler barrier for microbenchmark loops: the compiler must assume
+/// the empty asm reads and rewrites \p V and touches all memory. So the
+/// work that produced \p V is kept, a constant passed in cannot be
+/// folded into the code after it, and every store before it happens.
+template <typename T> inline void sink(T &V) {
+  asm volatile("" : "+r,m"(V) : : "memory");
+}
+
 /// Sets gauges `<Key>` = S.Median, `<Key>.iqr` = S.Iqr and `<Key>.n` =
 /// S.N.
 void publish(const std::string &Key, const Spread &S);

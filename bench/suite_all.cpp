@@ -70,7 +70,8 @@ void warmPreparations(bool NeedStandard, bool NeedAlpha) {
 
   auto T0 = std::chrono::steady_clock::now();
   runParallel(
-      Cells, [](const Cell &C) -> const std::string & { return C.Label; },
+      Cells, parallelJobs(Cells.size()),
+      [](const Cell &C) -> const std::string & { return C.Label; },
       [](const Cell &C) {
         return prepareShared(*C.Spec, C.Costs) != nullptr;
       });

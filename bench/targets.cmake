@@ -1,8 +1,9 @@
 # Everything under build/bench/ is a benchmark: suite_all, the one entry
 # point for the 14 deterministic experiments (`suite_all [experiment...]`,
-# stdout pinned by tests/golden/suite_all.txt), plus the wall-clock
-# benches, kiter_blowup and counters_microbench, whose output is timing
-# dependent and feeds no table.
+# stdout pinned by tests/golden/suite_all.txt), plus kiter_blowup and the
+# wall-clock benches interp_throughput (the engine: dispatch rows, trace
+# record/decode, counter operations) and adaptive_steadystate, whose
+# output is timing dependent and feeds no table.
 
 add_library(ppp_bench_harness STATIC
   ${CMAKE_SOURCE_DIR}/bench/Harness.cpp
@@ -24,7 +25,6 @@ function(ppp_add_bench NAME)
 endfunction()
 
 ppp_add_bench(interp_throughput)
-ppp_add_bench(trace_throughput)
 ppp_add_bench(adaptive_steadystate)
 ppp_add_bench(kiter_blowup)
 
@@ -48,8 +48,3 @@ target_link_libraries(suite_all PRIVATE ppp_experiments)
 set_target_properties(suite_all PROPERTIES
   RUNTIME_OUTPUT_DIRECTORY ${CMAKE_BINARY_DIR}/bench)
 
-add_executable(counters_microbench ${CMAKE_SOURCE_DIR}/bench/counters_microbench.cpp)
-target_link_libraries(counters_microbench PRIVATE ppp_interp ppp_support
-  benchmark::benchmark)
-set_target_properties(counters_microbench PROPERTIES
-  RUNTIME_OUTPUT_DIRECTORY ${CMAKE_BINARY_DIR}/bench)

@@ -4,6 +4,7 @@
 
 #include "analysis/CfgView.h"
 #include "obs/Obs.h"
+#include "opt/Unroller.h"
 #include "trace/PathTiming.h"
 
 #include <algorithm>
@@ -12,6 +13,17 @@
 
 using namespace ppp;
 using namespace ppp::adapt;
+
+namespace {
+
+/// Epochs in the rolling revert baseline (recentMeanCost()).
+constexpr unsigned BaselineEpochs = 4;
+
+/// Idle backoff stops doubling the epoch period at this multiple of
+/// AdaptiveOptions::EpochCalls.
+constexpr uint64_t BackoffLimit = 64;
+
+} // namespace
 
 AdaptiveController::AdaptiveController(const Module &CleanM,
                                        const InstrumentationResult &IRes,
@@ -23,7 +35,7 @@ AdaptiveController::AdaptiveController(const Module &CleanM,
          "instrumentation result does not match the clean module");
   assert(Opts.EpochCalls > 0 && "epoch cadence must be positive");
   Funcs.resize(Clean.numFunctions());
-  Recent.assign(std::max(1u, Opts.BaselineEpochs), 0);
+  Recent.assign(BaselineEpochs, 0);
   CurPeriod = Opts.EpochCalls;
   Interp.setEpochHook(this, CurPeriod);
 }
@@ -64,9 +76,8 @@ FuncId AdaptiveController::pickCandidate() const {
   uint64_t BestScore = 0;
   for (size_t FI = 0; FI < Funcs.size(); ++FI) {
     const FuncState &S = Funcs[FI];
-    if (S.Specialized || S.Blocked ||
-        S.Installs >= Opts.MaxVersionsPerFunction ||
-        S.Delta < Opts.MinPathDelta || !IR.Plans[FI].Instrumented)
+    if (S.Specialized || S.Blocked || S.Delta < Opts.MinPathDelta ||
+        !IR.Plans[FI].Instrumented)
       continue;
     // Count delta times a per-activation work weight. The default
     // weight is static size, a proxy favoring functions where one
@@ -142,7 +153,7 @@ AdaptiveController::buildVersion(FuncId F, const EdgeProfile &Advice) {
   // spliced into F they are stale (and undersized), so inline and
   // unroll are alternatives per version, inlining first.
   if (!IS.ModifiedFunctions.count(F))
-    runUnroller(Work, Advice, Opts.UnrollOpts);
+    runUnroller(Work, Advice);
   return std::make_shared<DecodedFunction>(decodeFunction(
       Work.function(F), Interp.versions().costs(), /*HashedTable=*/false));
 }
@@ -165,9 +176,7 @@ void AdaptiveController::specialize(FuncId F) {
   ++Stats.VersionsInstalled;
   if (Stats.FirstInstall < 0)
     Stats.FirstInstall = F;
-  FuncState &S = Funcs[static_cast<size_t>(F)];
-  ++S.Installs;
-  S.Specialized = true;
+  Funcs[static_cast<size_t>(F)].Specialized = true;
 }
 
 void AdaptiveController::noteRunBoundary() {
@@ -259,7 +268,7 @@ void AdaptiveController::onEpoch(uint64_t DynInstrs, uint64_t Cost) {
   } else if (Opts.BackoffIdleEpochs &&
              ++IdleEpochs >= Opts.BackoffIdleEpochs) {
     IdleEpochs = 0;
-    if (CurPeriod < Opts.EpochCalls * Opts.BackoffLimit) {
+    if (CurPeriod < Opts.EpochCalls * BackoffLimit) {
       CurPeriod *= 2;
       Interp.setEpochHook(this, CurPeriod);
       ++Stats.Backoffs;

@@ -52,7 +52,6 @@
 
 #include "interp/Interpreter.h"
 #include "opt/Inliner.h"
-#include "opt/Unroller.h"
 #include "pathprof/Profilers.h"
 
 #include <memory>
@@ -81,30 +80,24 @@ struct AdaptiveOptions {
 
   /// Revert when the evaluation window's mean epoch cost exceeds the
   /// pre-install baseline by more than this percentage. The baseline is
-  /// the mean of the last BaselineEpochs epoch costs, not a single
-  /// epoch: which functions an epoch happens to land on varies, and a
-  /// one-epoch baseline turns that mix noise into false reverts.
+  /// the mean of the last few epoch costs, not a single epoch: which
+  /// functions an epoch happens to land on varies, and a one-epoch
+  /// baseline turns that mix noise into false reverts.
   double RevertThresholdPct = 5.0;
-  unsigned BaselineEpochs = 4;
 
   /// When no candidate qualifies and nothing is under evaluation for
   /// this many consecutive epochs, the controller doubles its epoch
-  /// period (up to BackoffLimit times EpochCalls): once the hot set is
-  /// specialized, sampling every table each epoch is pure overhead. A
-  /// later phase's new hot function is still caught within one
-  /// backed-off epoch. 0 disables backoff.
+  /// period (up to a fixed cap): once the hot set is specialized,
+  /// sampling every table each epoch is pure overhead. A later phase's
+  /// new hot function is still caught within one backed-off epoch. 0
+  /// disables backoff.
   unsigned BackoffIdleEpochs = 8;
-  unsigned BackoffLimit = 64;
 
-  /// Per-function cap on installed versions (a reverted function is
-  /// never retried regardless).
-  unsigned MaxVersionsPerFunction = 3;
-
-  /// The function-scoped re-optimization pipeline. The inliner's
+  /// The inliner options of the function-scoped re-optimization
+  /// pipeline (the unroller runs at its defaults). The inliner's
   /// CodeBloat budget is measured against the whole program but spent
   /// on one function per version build.
   InlinerOptions InlineOpts;
-  UnrollerOptions UnrollOpts;
 
   /// PathTime hotness: per-path cost attribution from a prior
   /// timed-trace run of the same workload (trace/PathTiming; must
@@ -192,7 +185,6 @@ private:
   struct FuncState {
     uint64_t LastTotal = 0; ///< Table total at the previous epoch.
     uint64_t Delta = 0;     ///< This epoch's count delta.
-    unsigned Installs = 0;
     bool Specialized = false; ///< Currently running an installed version.
     bool Blocked = false;     ///< Reverted once; never retried.
   };

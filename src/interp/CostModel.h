@@ -6,9 +6,9 @@
 /// harness is the ratio of instrumented to clean dynamic cost, so only
 /// *relative* costs matter. The hash-counter cost is five times the
 /// array-counter cost, following the paper's estimate that "hashing is
-/// about five times more expensive than an array" (Sec. 3.2); the
-/// `counters_microbench` binary sanity-checks that ratio on real
-/// hardware.
+/// about five times more expensive than an array" (Sec. 3.2);
+/// `bench/interp_throughput`'s counter-operation rows measure that
+/// ratio on real hardware.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -15,7 +15,7 @@
 /// equals N % D for every N and every D >= 2 (Lemire, Kaser & Kurz,
 /// "Faster remainders when the divisor is a constant", 2019). A unit
 /// test pins the selector identical to `%` across all supported shard
-/// counts, and counters_microbench carries the before/after cost rows.
+/// counts, and interp_throughput's counter-operation rows time both.
 ///
 //===----------------------------------------------------------------------===//
 

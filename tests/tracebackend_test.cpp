@@ -354,17 +354,10 @@ TEST(TraceBackend, DecodeIsBitIdenticalToCounterBackend) {
         EXPECT_EQ(DS.CondEvents, Rec.CondEvents);
         EXPECT_EQ(DS.SwitchEvents, Rec.SwitchEvents);
 
-        const char *Old = std::getenv("PPP_JOBS");
-        std::string Saved = Old ? Old : "";
-        setenv("PPP_JOBS", "4", 1);
         ProfileRuntime ParRT = IR.makeRuntime();
         DecodeStats PDS;
-        ASSERT_TRUE(decodeTraceParallel(Dec, Rec, ParRT, PDS, Err))
+        ASSERT_TRUE(decodeTraceParallel(Dec, Rec, /*Jobs=*/4, ParRT, PDS, Err))
             << B.Name << " cap=" << Cap << ": " << Err;
-        if (Old)
-          setenv("PPP_JOBS", Saved.c_str(), 1);
-        else
-          unsetenv("PPP_JOBS");
         EXPECT_TRUE(countsFromRun(B.Name, IR, ParRT) == Want)
             << B.Name << " " << Opts.Name << " cap=" << Cap
             << " (parallel)";
@@ -573,20 +566,13 @@ TEST(TraceBackend, TimedDecodeBitIdenticalAndConservesCost) {
       }
 
       // Parallel decode: identical counts and identical attribution.
-      const char *Old = std::getenv("PPP_JOBS");
-      std::string Saved = Old ? Old : "";
-      setenv("PPP_JOBS", "4", 1);
       ProfileRuntime ParRT = IR.makeRuntime();
       DecodeStats PDS;
       PathTimingProfile ParTiming;
-      ASSERT_TRUE(
-          decodeTraceParallel(Dec, T.Rec, ParRT, PDS, Err, &ParTiming))
+      ASSERT_TRUE(decodeTraceParallel(Dec, T.Rec, /*Jobs=*/4, ParRT, PDS, Err,
+                                      &ParTiming))
           << T.B.Name << " cap=" << Cap << ": " << Err;
       ParTiming.finishPhases();
-      if (Old)
-        setenv("PPP_JOBS", Saved.c_str(), 1);
-      else
-        unsetenv("PPP_JOBS");
       EXPECT_TRUE(countsFromRun(T.B.Name, IR, ParRT) == Want)
           << T.B.Name << " cap=" << Cap << " (parallel)";
       EXPECT_TRUE(ParTiming.paths() == Timing.paths())

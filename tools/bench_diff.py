@@ -25,8 +25,7 @@ Usage:
   tools/bench_diff.py --gate NAME OLD.json NEW.json
       Shorthand for the committed trajectory files: NAME picks the key
       patterns for one of the tracked BENCH_*.json baselines
-      (throughput, served, trace, adapt, kiter); --keys
-      overrides them.
+      (throughput, served, adapt, kiter); --keys overrides them.
 
   tools/bench_diff.py --self-test
       Run the built-in unit checks against generated fixtures; exit 0
@@ -46,9 +45,15 @@ import tempfile
 
 # Gated key patterns, one per committed BENCH_*.json file.
 GATES = {
-    "throughput": "throughput.average.*",
+    # The suite averages, the counter-operation ratios, and per benchmark
+    # the trace backend's columns with the clean rate they are taken
+    # against.
+    "throughput": ("throughput.average.*,throughput.counters.*_ratio,"
+                   "throughput.reps,throughput.bench.*.clean_mips,"
+                   "throughput.bench.*.record_*,throughput.bench.*.decode_*,"
+                   "throughput.bench.*.bytes_per_event,"
+                   "throughput.bench.*.events,throughput.bench.*.chunks"),
     "served": "serve.bench.*",
-    "trace": "trace.average.*,trace.bench.*",
     "adapt": "adapt.average.*,adapt.bench.*,adapt.accept.*",
     # kiter.k<k>.<profiler>.* are the suite-wide aggregates per chain
     # depth (paths enumerated, lost fraction, overhead, demotions);
@@ -289,32 +294,44 @@ def self_test():
     # 6. Every named preset is a non-empty pattern list.
     check("gate presets well-formed",
           all(p.strip() for p in GATES.values()) and set(GATES) ==
-          {"throughput", "served", "trace", "adapt", "kiter"})
+          {"throughput", "served", "adapt", "kiter"})
 
     def named(old_gauges, new_gauges, name):
         return gate(metrics(gauges=old_gauges), metrics(gauges=new_gauges),
                     GATES[name])
 
-    # 6a. The trace gate over BENCH_trace.json-shaped fixtures: steady
+    # 6a. The throughput gate over the trace backend's keys: steady
     #     numbers pass, a decode-throughput collapse fails, and a
     #     benchmark added to the suite does not break the older
-    #     baseline.
-    trace_base = {**spread("trace.bench.mcf.record_mips", 120.0, 6.0, 20),
-                  **spread("trace.bench.mcf.decode_eps_j4", 6.0e7, 6e6, 20),
-                  **spread("trace.average.decode_eps_j4", 6.0e7, 6e6, 20),
-                  "trace.bench.mcf.bytes_per_event": 0.18}
-    rc, out, _ = named(trace_base, trace_base, "trace")
-    check("trace gate: steady run passes", rc == 0 and "ok:" in out)
-    collapsed = {**trace_base,
-                 **spread("trace.bench.mcf.decode_eps_j4", 2.0e7, 2e6, 20),
-                 **spread("trace.average.decode_eps_j4", 2.0e7, 2e6, 20)}
-    rc, _, err = named(trace_base, collapsed, "trace")
-    check("trace gate: decode collapse fails",
+    #     baseline. A counter-operation ratio regressing past the bound
+    #     fails too.
+    trace_base = {
+        **spread("throughput.bench.mcf.record_mips", 120.0, 6.0, 40),
+        **spread("throughput.bench.mcf.decode_eps_j4", 6.0e7, 6e6, 20),
+        **spread("throughput.average.decode_eps_j4", 6.0e7, 6e6, 20),
+        **spread("throughput.counters.hash_array_ratio", 1.80, 0.05, 40),
+        "throughput.bench.mcf.bytes_per_event": 0.18}
+    rc, out, _ = named(trace_base, trace_base, "throughput")
+    check("throughput gate: steady run passes", rc == 0 and "ok:" in out)
+    collapsed = {
+        **trace_base,
+        **spread("throughput.bench.mcf.decode_eps_j4", 2.0e7, 2e6, 20),
+        **spread("throughput.average.decode_eps_j4", 2.0e7, 2e6, 20)}
+    rc, _, err = named(trace_base, collapsed, "throughput")
+    check("throughput gate: decode collapse fails",
           rc == 1 and "decode_eps_j4" in err)
     grown_trace = {**trace_base,
-                   **spread("trace.bench.vpr.record_mips", 90.0, 4.0, 20)}
-    rc, out, _ = named(trace_base, grown_trace, "trace")
-    check("trace gate: new benchmark tolerated", rc == 0 and "new" in out)
+                   **spread("throughput.bench.vpr.record_mips", 90.0, 4.0,
+                            40)}
+    rc, out, _ = named(trace_base, grown_trace, "throughput")
+    check("throughput gate: new benchmark tolerated",
+          rc == 0 and "new" in out)
+    dearer_hash = {**trace_base,
+                   **spread("throughput.counters.hash_array_ratio", 2.50,
+                            0.05, 40)}
+    rc, _, err = named(trace_base, dearer_hash, "throughput")
+    check("throughput gate: counter ratio regression fails",
+          rc == 1 and "hash_array_ratio" in err)
 
     # 6b. The adapt gate: a steady static/adaptive ratio passes, losing
     #     the adaptive win (ratio collapse) fails.
@@ -336,12 +353,12 @@ def self_test():
     #     the preset's patterns is ignored.
     accept_base = {"adapt.accept.picks_differ": 1.0,
                    "adapt.bench.skewed.steady_cost_ratio": 1.02,
-                   "trace.bench.x.record_mips": 100.0}
+                   "throughput.bench.x.record_mips": 100.0}
     lost_pick = {**accept_base, "adapt.accept.picks_differ": 0.0}
     rc, _, err = named(accept_base, lost_pick, "adapt")
     check("adapt gate: lost pick separation fails",
           rc == 1 and "picks_differ" in err)
-    elsewhere = {**accept_base, "trace.bench.x.record_mips": 200.0}
+    elsewhere = {**accept_base, "throughput.bench.x.record_mips": 200.0}
     rc, _, _ = named(accept_base, elsewhere, "adapt")
     check("named gate ignores other keys", rc == 0)
 

@@ -177,7 +177,8 @@ int decode(const PreparedBenchmark &B, const InstrumentationResult &IR,
   trace::TraceDecoder Dec(B.Expanded, IR, B.Costs);
   trace::DecodeStats DS;
   trace::PathTimingProfile Timing(TOpts);
-  if (!decodeTraceParallel(Dec, Rec, RT, DS, Err,
+  unsigned Jobs = parallelJobs(Rec.Chunks.size());
+  if (!decodeTraceParallel(Dec, Rec, Jobs, RT, DS, Err,
                            Rec.Timed ? &Timing : nullptr)) {
     std::fprintf(stderr, "error: decode failed: %s\n", Err.c_str());
     return 1;
@@ -186,8 +187,7 @@ int decode(const PreparedBenchmark &B, const InstrumentationResult &IR,
               "(%u jobs)\n",
               B.Name.c_str(), (unsigned long long)DS.Chunks,
               (unsigned long long)(DS.CondEvents + DS.SwitchEvents),
-              (unsigned long long)DS.Increments,
-              parallelJobs(Rec.Chunks.size()));
+              (unsigned long long)DS.Increments, Jobs);
   if (!Rec.Timed)
     return 0;
 
