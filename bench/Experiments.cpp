@@ -21,6 +21,7 @@ const ExperimentInfo Table[] = {
     {"kernels_overhead", runKernelsOverhead, false, false},
     {"net_vs_ppp", runNetVsPpp, true, false},
     {"metric_comparison", runMetricComparison, true, false},
+    {"kiter_blowup", runKiterBlowup, true, false},
 };
 
 } // namespace

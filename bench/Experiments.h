@@ -1,12 +1,15 @@
 //===- bench/Experiments.h - Experiment registry ---------------*- C++ -*-===//
 ///
 /// \file
-/// Every deterministic figure/table experiment exposes its whole
-/// program as one `run*()` function, registered once in the
-/// experiments() table (bench/Experiments.cpp, library
+/// Every deterministic experiment -- the paper's figures and tables, the
+/// auxiliary studies, and the k-iteration study (kiter_blowup) --
+/// exposes its whole program as one `run*()` function, registered once
+/// in the experiments() table (bench/Experiments.cpp, library
 /// ppp_experiments). suite_all, the only entry point, runs any subset
 /// in one process, so the experiments share a single preparation cache
-/// instead of each rebuilding every benchmark.
+/// instead of each rebuilding every benchmark. An experiment takes no
+/// knob: a depth, preset or benchmark outside its fixed axes is one
+/// `ppp_cli run <bench> --profiler=<spec>` away.
 ///
 /// Contract: a run function writes its complete report to stdout and
 /// returns a process exit code; the full suite's stdout is pinned by
@@ -39,6 +42,7 @@ int runEdgeInstrumentation();
 int runKernelsOverhead();
 int runNetVsPpp();
 int runMetricComparison();
+int runKiterBlowup();
 
 struct ExperimentInfo {
   const char *Name;      ///< suite_all's argument for this row.
@@ -48,7 +52,7 @@ struct ExperimentInfo {
 };
 
 /// Every registered experiment, in the paper's order: tables, figures,
-/// then the auxiliary studies.
+/// then the auxiliary studies, with the k-iteration study last.
 std::span<const ExperimentInfo> experiments();
 
 /// The row named \p Name, or nullptr.

@@ -51,28 +51,6 @@ void PoolTelemetry::workerEnd(unsigned W, uint64_t BusyNs) const {
                   : 0);
 }
 
-std::vector<uint64_t> ppp::bench::kiterAxis() {
-  std::vector<uint64_t> Axis;
-  if (const char *E = std::getenv("PPP_KITER")) {
-    const char *P = E;
-    while (*P) {
-      char *End = nullptr;
-      long V = std::strtol(P, &End, 10);
-      if (End == P)
-        break; // Not a number: abandon the malformed tail.
-      if (V >= 1 &&
-          static_cast<uint64_t>(V) <= ProfilerOptions::MaxKIterations)
-        Axis.push_back(static_cast<uint64_t>(V));
-      P = *End == ',' ? End + 1 : End;
-      if (End == P && *End)
-        break;
-    }
-  }
-  if (Axis.empty())
-    Axis.push_back(1);
-  return Axis;
-}
-
 ProfilerOptions ppp::bench::atKIterations(ProfilerOptions Base, uint64_t K) {
   if (K <= 1)
     return Base;

@@ -138,13 +138,6 @@ struct EdgeProfilingOutcome {
 
 EdgeProfilingOutcome evaluateEdgeProfiling(const PreparedBenchmark &B);
 
-/// The k-iteration depth axis the figure experiments sweep, parsed
-/// from the PPP_KITER environment variable ("1,2,4"; entries outside
-/// [1, MaxKIterations] are dropped). Unset, empty, or malformed means
-/// {1} -- the default sweep, which leaves every figure's stdout
-/// byte-identical to the unchained implementation.
-std::vector<uint64_t> kiterAxis();
-
 /// \p Base at chain depth \p K: KIterations set and "+kiter<k>"
 /// appended to the preset name for K > 1; K == 1 returns \p Base
 /// unchanged.

@@ -30,6 +30,7 @@
 #include <cstddef>
 #include <functional>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 namespace ppp {
@@ -85,8 +86,21 @@ Samples measure(const std::vector<std::function<void()>> &Variants,
 /// the empty asm reads and rewrites \p V and touches all memory. So the
 /// work that produced \p V is kept, a constant passed in cannot be
 /// folded into the code after it, and every store before it happens.
+/// A register-sized value may sit in memory or a register; GCC lists
+/// memory first because it rejects "+r,m" on some operands once inlined
+/// at -O3 ("impossible constraint in 'asm'"). Larger values go through
+/// memory. This is google-benchmark's DoNotOptimize choice.
 template <typename T> inline void sink(T &V) {
-  asm volatile("" : "+r,m"(V) : : "memory");
+  if constexpr (std::is_trivially_copyable_v<T> &&
+                sizeof(T) <= sizeof(void *)) {
+#if defined(__clang__)
+    asm volatile("" : "+r,m"(V) : : "memory");
+#else
+    asm volatile("" : "+m,r"(V) : : "memory");
+#endif
+  } else {
+    asm volatile("" : "+m"(V) : : "memory");
+  }
 }
 
 /// Sets gauges `<Key>` = S.Median, `<Key>.iqr` = S.Iqr and `<Key>.n` =

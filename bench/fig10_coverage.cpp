@@ -25,22 +25,20 @@ struct Row {
   double Vals[3] = {0, 0, 0};
 };
 
-void runTable(uint64_t K) {
-  if (K > 1)
-    printf("\n-- k = %llu (tpp+kiter%llu / ppp+kiter%llu) --\n\n",
-           (unsigned long long)K, (unsigned long long)K,
-           (unsigned long long)K);
+} // namespace
+
+int ppp::bench::runFig10Coverage() {
+  printf("Figure 10: coverage (fraction of actual path profile "
+         "measured), percent\n\n");
   printHeader("bench", {"edge", "tpp", "ppp"});
 
   std::vector<Row> Rows =
-      runSuiteParallel(spec2000Suite(), [K](const BenchmarkSpec &Spec) {
+      runSuiteParallel(spec2000Suite(), [](const BenchmarkSpec &Spec) {
         PreparedBenchmark B = prepare(Spec);
         FunctionAnalysisManager FAM(B.Expanded, &B.EP);
         EdgeProfilingOutcome Edge = evaluateEdgeProfiling(B);
-        ProfilerOutcome Tpp =
-            runProfiler(B, atKIterations(ProfilerOptions::tpp(), K), &FAM);
-        ProfilerOutcome Ppp =
-            runProfiler(B, atKIterations(ProfilerOptions::ppp(), K), &FAM);
+        ProfilerOutcome Tpp = runProfiler(B, ProfilerOptions::tpp(), &FAM);
+        ProfilerOutcome Ppp = runProfiler(B, ProfilerOptions::ppp(), &FAM);
         return Row{B.Name,
                    {100.0 * Edge.Coverage, 100.0 * Tpp.Cov.Coverage,
                     100.0 * Ppp.Cov.Coverage}};
@@ -56,15 +54,6 @@ void runTable(uint64_t K) {
   }
   printf("\n");
   printRow("average", {Sum[0] / N, Sum[1] / N, Sum[2] / N}, "%10.1f");
-}
-
-} // namespace
-
-int ppp::bench::runFig10Coverage() {
-  printf("Figure 10: coverage (fraction of actual path profile "
-         "measured), percent\n\n");
-  for (uint64_t K : kiterAxis())
-    runTable(K);
   printf("\nExpected shape (paper): edge profiles attribute only about "
          "half of program flow\n(Sec. 8.1: ~48%%); TPP covers somewhat "
          "more than PPP on INT benchmarks; both far\nabove edge "

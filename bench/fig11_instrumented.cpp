@@ -23,22 +23,23 @@ struct Row {
   std::vector<double> Vals;
 };
 
-void runTable(uint64_t K) {
-  if (K > 1)
-    printf("\n-- k = %llu (pp/tpp/ppp +kiter%llu) --\n\n",
-           (unsigned long long)K, (unsigned long long)K);
+} // namespace
+
+int ppp::bench::runFig11Instrumented() {
+  printf("Figure 11: fraction of dynamic paths instrumented, percent "
+         "(hashed portion in parens)\n\n");
   printHeader("bench", {"pp", "pp-hash", "tpp", "tpp-hash", "ppp",
                         "ppp-hash"});
 
   std::vector<Row> Rows =
-      runSuiteParallel(spec2000Suite(), [K](const BenchmarkSpec &Spec) {
+      runSuiteParallel(spec2000Suite(), [](const BenchmarkSpec &Spec) {
         PreparedBenchmark B = prepare(Spec);
         FunctionAnalysisManager FAM(B.Expanded, &B.EP);
         Row R{B.Name, {}};
         for (const ProfilerOptions &Opts :
              {ProfilerOptions::pp(), ProfilerOptions::tpp(),
               ProfilerOptions::ppp()}) {
-          ProfilerOutcome Out = runProfiler(B, atKIterations(Opts, K), &FAM);
+          ProfilerOutcome Out = runProfiler(B, Opts, &FAM);
           R.Vals.push_back(100.0 * Out.Frac.Total);
           R.Vals.push_back(100.0 * Out.Frac.Hashed);
         }
@@ -58,15 +59,6 @@ void runTable(uint64_t K) {
            {Sum[0] / N, Sum[1] / N, Sum[2] / N, Sum[3] / N, Sum[4] / N,
             Sum[5] / N},
            "%10.1f");
-}
-
-} // namespace
-
-int ppp::bench::runFig11Instrumented() {
-  printf("Figure 11: fraction of dynamic paths instrumented, percent "
-         "(hashed portion in parens)\n\n");
-  for (uint64_t K : kiterAxis())
-    runTable(K);
   printf("\nExpected shape (paper): PP instruments 100%% of dynamic "
          "paths (hashing the complex\nroutines); TPP and PPP "
          "instrument about half, and PPP eliminates hashing.\n");

@@ -30,7 +30,7 @@ struct Row {
   double Vals[5] = {0, 0, 0, 0, 0};
 };
 
-void runTable(const char *Title, const CostModel &Costs, uint64_t K) {
+void runTable(const char *Title, const CostModel &Costs) {
   printf("%s\n\n", Title);
   printHeader("bench", {"pp", "tpp", "ppp", "trace", "trace+t"});
 
@@ -40,13 +40,10 @@ void runTable(const char *Title, const CostModel &Costs, uint64_t K) {
         FunctionAnalysisManager FAM(B.Expanded, &B.EP);
         Row R{B.Name, B.IsFp, {}};
         int I = 0;
-        // The trace backend demotes to k = 1 by design; keep its
-        // columns unchained so the ratio check compares like to like.
         for (const ProfilerOptions &Opts :
-             {atKIterations(ProfilerOptions::pp(), K),
-              atKIterations(ProfilerOptions::tpp(), K),
-              atKIterations(ProfilerOptions::ppp(), K),
-              ProfilerOptions::trace(), ProfilerOptions::traceTimed()})
+             {ProfilerOptions::pp(), ProfilerOptions::tpp(),
+              ProfilerOptions::ppp(), ProfilerOptions::trace(),
+              ProfilerOptions::traceTimed()})
           R.Vals[I++] = runProfiler(B, Opts, &FAM).OverheadPct;
         return R;
       });
@@ -86,19 +83,10 @@ void runTable(const char *Title, const CostModel &Costs, uint64_t K) {
 
 int ppp::bench::runFig12Overhead() {
   printf("Figure 12: profiling overhead, percent of base runtime\n\n");
-  for (uint64_t K : kiterAxis()) {
-    std::string Std = "-- standard cost model --";
-    std::string Alpha =
-        "-- Alpha-21164-like cost model (counter updates relatively "
-        "expensive,\n   as on the paper's hardware) --";
-    if (K > 1) {
-      std::string Tag = " [k = " + std::to_string(K) + "]";
-      Std.insert(Std.size() - 3, Tag);
-      Alpha.insert(Alpha.size() - 3, Tag);
-    }
-    runTable(Std.c_str(), CostModel(), K);
-    runTable(Alpha.c_str(), CostModel::alpha21164(), K);
-  }
+  runTable("-- standard cost model --", CostModel());
+  runTable("-- Alpha-21164-like cost model (counter updates relatively "
+           "expensive,\n   as on the paper's hardware) --",
+           CostModel::alpha21164());
   printf("Expected shape (paper): PP ~31%% average (up to ~100%% on "
          "branchy code);\nTPP ~12%%; PPP ~5%% with the biggest PPP wins "
          "on the INT side. Our cost model\nis deterministic, so the "

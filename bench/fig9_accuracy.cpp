@@ -24,22 +24,20 @@ struct Row {
   double Vals[3] = {0, 0, 0};
 };
 
-void runTable(uint64_t K) {
-  if (K > 1)
-    printf("\n-- k = %llu (tpp+kiter%llu / ppp+kiter%llu) --\n\n",
-           (unsigned long long)K, (unsigned long long)K,
-           (unsigned long long)K);
+} // namespace
+
+int ppp::bench::runFig9Accuracy() {
+  printf("Figure 9: accuracy (fraction of hot path flow predicted), "
+         "percent\n\n");
   printHeader("bench", {"edge", "tpp", "ppp"});
 
   std::vector<Row> Rows =
-      runSuiteParallel(spec2000Suite(), [K](const BenchmarkSpec &Spec) {
+      runSuiteParallel(spec2000Suite(), [](const BenchmarkSpec &Spec) {
         PreparedBenchmark B = prepare(Spec);
         FunctionAnalysisManager FAM(B.Expanded, &B.EP);
         EdgeProfilingOutcome Edge = evaluateEdgeProfiling(B);
-        ProfilerOutcome Tpp =
-            runProfiler(B, atKIterations(ProfilerOptions::tpp(), K), &FAM);
-        ProfilerOutcome Ppp =
-            runProfiler(B, atKIterations(ProfilerOptions::ppp(), K), &FAM);
+        ProfilerOutcome Tpp = runProfiler(B, ProfilerOptions::tpp(), &FAM);
+        ProfilerOutcome Ppp = runProfiler(B, ProfilerOptions::ppp(), &FAM);
         return Row{B.Name,
                    {100.0 * Edge.Acc.Accuracy, 100.0 * Tpp.Acc.Accuracy,
                     100.0 * Ppp.Acc.Accuracy}};
@@ -55,15 +53,6 @@ void runTable(uint64_t K) {
   }
   printf("\n");
   printRow("average", {Sum[0] / N, Sum[1] / N, Sum[2] / N}, "%10.1f");
-}
-
-} // namespace
-
-int ppp::bench::runFig9Accuracy() {
-  printf("Figure 9: accuracy (fraction of hot path flow predicted), "
-         "percent\n\n");
-  for (uint64_t K : kiterAxis())
-    runTable(K);
   printf("\nExpected shape (paper): edge profiles predict hot paths "
          "poorly (avg 73%%, as low as 26%%);\nTPP and PPP both >= 90%% "
          "everywhere with PPP within ~1%% of TPP (avg ~96%%).\n");

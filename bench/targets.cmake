@@ -1,9 +1,10 @@
 # Everything under build/bench/ is a benchmark: suite_all, the one entry
-# point for the 14 deterministic experiments (`suite_all [experiment...]`,
-# stdout pinned by tests/golden/suite_all.txt), plus kiter_blowup and the
-# wall-clock benches interp_throughput (the engine: dispatch rows, trace
-# record/decode, counter operations) and adaptive_steadystate, whose
-# output is timing dependent and feeds no table.
+# point for the 15 deterministic experiments (`suite_all [experiment...]`,
+# the k-iteration study kiter_blowup included; stdout pinned by
+# tests/golden/suite_all.txt), plus the wall-clock benches
+# interp_throughput (the engine: dispatch rows, trace record/decode,
+# counter operations) and adaptive_steadystate, whose output is timing
+# dependent and feeds no table.
 
 add_library(ppp_bench_harness STATIC
   ${CMAKE_SOURCE_DIR}/bench/Harness.cpp
@@ -26,7 +27,6 @@ endfunction()
 
 ppp_add_bench(interp_throughput)
 ppp_add_bench(adaptive_steadystate)
-ppp_add_bench(kiter_blowup)
 
 # The deterministic experiments (bench/Experiments.h) compile once, into
 # one library that suite_all runs.
@@ -35,7 +35,7 @@ foreach(exp
     table1_inlining table2_hotpaths fig9_accuracy fig10_coverage
     fig11_instrumented fig12_overhead fig13_ablation fig13b_poisoning
     fig13c_oneatatime trace_payoff edge_instrumentation kernels_overhead
-    net_vs_ppp metric_comparison)
+    net_vs_ppp metric_comparison kiter_blowup)
   list(APPEND PPP_EXPERIMENT_SOURCES ${CMAKE_SOURCE_DIR}/bench/${exp}.cpp)
 endforeach()
 add_library(ppp_experiments STATIC ${PPP_EXPERIMENT_SOURCES})

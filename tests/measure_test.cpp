@@ -3,12 +3,17 @@
 /// Pins bench/Measure: the call schedule measure() runs (warm-up first
 /// and unsampled, then mirrored half-rounds) with fake variants that log
 /// their calls, and the statistics as pure functions of fixed sample
-/// vectors, so nothing here depends on the wall clock.
+/// vectors, so nothing here depends on the wall clock. The file is
+/// compiled at -O3 (tests/CMakeLists.txt), so it also checks that sink()
+/// builds where the engine bench's counter loops are most inlined.
 
 #include "Measure.h"
 
+#include "serve/ShardHash.h"
+
 #include "gtest/gtest.h"
 
+#include <cstdint>
 #include <functional>
 #include <vector>
 
@@ -142,6 +147,39 @@ TEST(Measure, JsonFlag) {
   char *Unknown[] = {Prog, Bad};
   EXPECT_EXIT(jsonFlag(2, Unknown, Path), testing::ExitedWithCode(2),
               "usage: bench");
+}
+
+TEST(Measure, SinkBuildsAtO3AndKeepsValues) {
+  // The shapes interp_throughput's counter variants sink, in the same
+  // setting: a shard count captured by a mutable lambda behind a
+  // std::function, a reciprocal shard pick, and the loop counter.
+  std::vector<uint64_t> Hashes(1024);
+  for (size_t I = 0; I < Hashes.size(); ++I)
+    Hashes[I] = I * 0x9e3779b97f4a7c15ull;
+  uint64_t Sum = 0;
+  std::function<void()> Loop = [Shards = uint32_t(8), &Hashes,
+                                &Sum]() mutable {
+    sink(Shards);
+    ppp::serve::ShardSelector Sel(Shards);
+    for (size_t K = 0; K < 4096; ++K) {
+      uint32_t S = Sel(Hashes[K & 1023]);
+      sink(S);
+      Sum += S;
+      sink(K);
+    }
+  };
+  Loop();
+  uint64_t Expect = 0;
+  for (size_t K = 0; K < 4096; ++K)
+    Expect += ppp::serve::fold32(Hashes[K & 1023]) % 8;
+  EXPECT_EQ(Sum, Expect);
+
+  // A value wider than a register goes through memory, unchanged.
+  struct Wide {
+    uint64_t A, B, C;
+  } W{1, 2, 3};
+  sink(W);
+  EXPECT_EQ(W.A + W.B + W.C, 6u);
 }
 
 } // namespace

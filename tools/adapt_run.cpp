@@ -17,9 +17,10 @@
 /// file is the oracle: adaptation must never change a single byte of
 /// it.
 ///
-/// `--sessions=K` runs K independent sessions on K threads and requires
-/// their traces identical before writing (adaptation is deterministic
-/// and self-contained per session, even concurrently).
+/// `--sessions=K` runs K independent sessions on parallelJobs(K)
+/// workers (PPP_JOBS, at most K) and requires their traces identical
+/// before writing (adaptation is deterministic and self-contained per
+/// session, even concurrently).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -31,7 +32,6 @@
 #include <cstring>
 #include <fstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 using namespace ppp;
@@ -122,16 +122,13 @@ int main(int argc, char **argv) {
   PreparedBenchmark B = prepare(*Spec);
 
   uint64_t UseCadence = Cmd == "clean" ? 0 : Cadence;
-  std::vector<std::string> Traces(Sessions);
-  if (Sessions == 1) {
-    Traces[0] = runTrace(B, Reps, UseCadence);
-  } else {
-    std::vector<std::thread> Pool;
-    for (unsigned S = 0; S < Sessions; ++S)
-      Pool.emplace_back([&, S] { Traces[S] = runTrace(B, Reps, UseCadence); });
-    for (std::thread &T : Pool)
-      T.join();
-  }
+  std::vector<unsigned> Ids(Sessions);
+  for (unsigned S = 0; S < Sessions; ++S)
+    Ids[S] = S;
+  std::vector<std::string> Traces = runParallel(
+      Ids, parallelJobs(Sessions),
+      [](unsigned S) { return "session" + std::to_string(S); },
+      [&](unsigned) { return runTrace(B, Reps, UseCadence); });
   for (unsigned S = 1; S < Sessions; ++S)
     if (Traces[S] != Traces[0]) {
       std::fprintf(stderr,

@@ -25,7 +25,7 @@ Usage:
   tools/bench_diff.py --gate NAME OLD.json NEW.json
       Shorthand for the committed trajectory files: NAME picks the key
       patterns for one of the tracked BENCH_*.json baselines
-      (throughput, served, adapt, kiter); --keys overrides them.
+      (throughput, served, adapt); --keys overrides them.
 
   tools/bench_diff.py --self-test
       Run the built-in unit checks against generated fixtures; exit 0
@@ -55,10 +55,6 @@ GATES = {
                    "throughput.bench.*.events,throughput.bench.*.chunks"),
     "served": "serve.bench.*",
     "adapt": "adapt.average.*,adapt.bench.*,adapt.accept.*",
-    # kiter.k<k>.<profiler>.* are the suite-wide aggregates per chain
-    # depth (paths enumerated, lost fraction, overhead, demotions);
-    # per-benchmark kiter.bench.* keys ride along informationally.
-    "kiter": "kiter.k*",
 }
 
 # The one gating rule: a key fails only past the floor, and past
@@ -294,7 +290,7 @@ def self_test():
     # 6. Every named preset is a non-empty pattern list.
     check("gate presets well-formed",
           all(p.strip() for p in GATES.values()) and set(GATES) ==
-          {"throughput", "served", "adapt", "kiter"})
+          {"throughput", "served", "adapt"})
 
     def named(old_gauges, new_gauges, name):
         return gate(metrics(gauges=old_gauges), metrics(gauges=new_gauges),
@@ -362,26 +358,7 @@ def self_test():
     rc, _, _ = named(accept_base, elsewhere, "adapt")
     check("named gate ignores other keys", rc == 0)
 
-    # 6d. The kiter gate: steady aggregates pass, a lost-fraction blowup
-    #     at k = 4 fails, and the per-benchmark kiter.bench.* keys stay
-    #     informational (a new benchmark must not break an older
-    #     baseline).
-    kiter_base = {"kiter.k1.ppp.paths": 560.0,
-                  "kiter.k4.ppp.paths": 2720.0,
-                  "kiter.k4.ppp.lost_fraction": 0.001,
-                  "kiter.bench.vpr.k4.ppp.lost_fraction": 0.0085}
-    rc, out, _ = named(kiter_base, kiter_base, "kiter")
-    check("kiter gate: steady run passes", rc == 0 and "ok:" in out)
-    blown = {**kiter_base, "kiter.k4.ppp.lost_fraction": 0.5}
-    rc, _, err = named(kiter_base, blown, "kiter")
-    check("kiter gate: lost-fraction blowup fails",
-          rc == 1 and "lost_fraction" in err)
-    grown_kiter = {**kiter_base,
-                   "kiter.bench.gcc.k4.ppp.lost_fraction": 0.002}
-    rc, _, _ = named(kiter_base, grown_kiter, "kiter")
-    check("kiter gate: new benchmark tolerated", rc == 0)
-
-    # 6e. '*' matches mid-key too.
+    # 6d. '*' matches mid-key too.
     rc, _, err = gate(metrics(gauges={"serve.bench.shards1.fast_fraction":
                                       0.17}),
                       metrics(gauges={"serve.bench.shards1.fast_fraction":

@@ -1,5 +1,5 @@
 #!/usr/bin/env sh
-# Golden experiment output: suite_all's stdout (all 14 experiments) must
+# Golden experiment output: suite_all's stdout (all 15 experiments) must
 # equal tests/golden/suite_all.txt byte for byte in three runs:
 #
 #   1. PPP_CACHE=off at the default job count;
