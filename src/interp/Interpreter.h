@@ -174,7 +174,11 @@ private:
   /// Runs the selected row's loop.
   RunResult runSelected();
 
-  template <ExecMode M> RunResult runImpl();
+  /// One dispatch loop per row. Each starts on a 64-byte boundary, so
+  /// the loop's offset within cache lines does not change when
+  /// unrelated code linked before it grows or shrinks; such shifts
+  /// otherwise move dispatch rates between builds of the same loop.
+  template <ExecMode M> [[gnu::aligned(64)]] RunResult runImpl();
 
   VersionTable VT;
   /// Address-space size: Module::MemWords rounded up to a power of two

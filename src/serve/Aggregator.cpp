@@ -3,13 +3,14 @@
 #include "serve/Aggregator.h"
 
 #include "obs/Obs.h"
+#include "serve/OverflowTable.h"
 #include "support/Format.h"
 
 #include <algorithm>
 #include <bit>
 #include <chrono>
+#include <string_view>
 #include <tuple>
-#include <unordered_map>
 
 using namespace ppp;
 using namespace ppp::serve;
@@ -25,16 +26,10 @@ void atomicSatAdd(std::atomic<uint64_t> &A, uint64_t N) {
     ;
 }
 
-struct AggKeyHash {
-  size_t operator()(const AggKey &K) const {
-    return static_cast<size_t>(hashAggKey(K));
-  }
-};
-
 } // namespace
 
 /// One shard: a lock-free fixed-capacity cell table, a mutex-guarded
-/// overflow map, and per-shard statistics. alignas keeps neighboring
+/// overflow table, and per-shard statistics. alignas keeps neighboring
 /// shards' hot state off each other's cache lines.
 struct alignas(64) Aggregator::Shard {
   struct Cell {
@@ -45,7 +40,7 @@ struct alignas(64) Aggregator::Shard {
   std::vector<Cell> Cells;
 
   mutable std::mutex OverflowMu;
-  std::unordered_map<AggKey, uint64_t, AggKeyHash> Overflow;
+  OverflowTable Overflow;
 
   // Statistics (relaxed; aggregated by stats()).
   std::atomic<uint64_t> Merges{0};
@@ -112,11 +107,10 @@ void Aggregator::applyPacked(uint64_t Packed, uint64_t Hash, uint64_t Count,
 void Aggregator::applyOverflow(const AggKey &Key, uint64_t Count, Shard &S,
                                LocalStats &L) {
   // Probe budget exhausted, or the key does not pack: the shard's
-  // locked overflow map absorbs it. Still shard-local, so ingest
+  // locked overflow table absorbs it. Still shard-local, so ingest
   // threads working other shards never wait here.
   std::lock_guard<std::mutex> Lock(S.OverflowMu);
-  uint64_t &Slot = S.Overflow[Key];
-  Slot = saturatingAdd(Slot, Count);
+  S.Overflow.add(Key, Count);
   ++L.Overflow;
 }
 
@@ -175,10 +169,7 @@ void Aggregator::decay() {
       }
     }
     std::lock_guard<std::mutex> Lock(S.OverflowMu);
-    for (auto It = S.Overflow.begin(); It != S.Overflow.end();) {
-      It->second >>= 1;
-      It = It->second == 0 ? S.Overflow.erase(It) : std::next(It);
-    }
+    S.Overflow.decay();
   }
   DecayPasses.fetch_add(1, std::memory_order_relaxed);
   obs::counter("serve.decay.passes").inc();
@@ -206,32 +197,92 @@ std::vector<NamedRow> Aggregator::snapshotRows() const {
                       Key.Kind, Key.Func, Key.Index, Count});
     }
     std::lock_guard<std::mutex> Lock(S.OverflowMu);
-    for (const auto &[Key, Count] : S.Overflow)
-      if (Count > 0)
-        Rows.push_back({Key.Bench < Names.size() ? Names[Key.Bench]
-                                                 : std::string("?"),
-                        Key.Kind, Key.Func, Key.Index, Count});
+    for (const OverflowTable::Slot &O : S.Overflow.slots())
+      if (OverflowTable::live(O))
+        Rows.push_back({O.Key.Bench < Names.size() ? Names[O.Key.Bench]
+                                                   : std::string("?"),
+                        O.Key.Kind, O.Key.Func, O.Key.Index, O.Count});
   }
   return Rows;
 }
 
 std::vector<NamedRow> Aggregator::hottestPaths(unsigned K) const {
   auto T0 = std::chrono::steady_clock::now();
-  std::vector<NamedRow> Rows = snapshotRows();
-  std::erase_if(Rows,
-                [](const NamedRow &R) { return R.Kind != CountKind::Path; });
-  auto Hotter = [](const NamedRow &A, const NamedRow &B) {
+  std::vector<std::string> Names;
+  {
+    std::lock_guard<std::mutex> Lock(BenchMu);
+    Names = BenchNames;
+  }
+  // Rank the names once, so the scan breaks ties in name order by
+  // comparing integers. Ids with no name rank as "?", the name
+  // snapshotRows gives them.
+  std::vector<std::string_view> Sorted(Names.begin(), Names.end());
+  Sorted.push_back("?");
+  std::sort(Sorted.begin(), Sorted.end());
+  auto RankOf = [&](std::string_view Name) {
+    return static_cast<uint32_t>(
+        std::lower_bound(Sorted.begin(), Sorted.end(), Name) -
+        Sorted.begin());
+  };
+  std::vector<uint32_t> Rank;
+  for (const std::string &Name : Names)
+    Rank.push_back(RankOf(Name));
+  const uint32_t UnknownRank = RankOf("?");
+
+  // One pass over every cell and overflow slot keeps the K hottest
+  // candidates in a heap whose front is the coldest of them.
+  struct Candidate {
+    uint64_t Count;
+    uint32_t Rank;
+    uint32_t Func;
+    uint64_t Index;
+    uint16_t Bench;
+  };
+  auto Hotter = [](const Candidate &A, const Candidate &B) {
     if (A.Count != B.Count)
       return A.Count > B.Count;
-    return std::tie(A.Bench, A.Func, A.Index) <
-           std::tie(B.Bench, B.Func, B.Index);
+    return std::tie(A.Rank, A.Func, A.Index) <
+           std::tie(B.Rank, B.Func, B.Index);
   };
-  if (Rows.size() > K) {
-    std::partial_sort(Rows.begin(), Rows.begin() + K, Rows.end(), Hotter);
-    Rows.resize(K);
-  } else {
-    std::sort(Rows.begin(), Rows.end(), Hotter);
+  std::vector<Candidate> Heap;
+  auto Offer = [&](const AggKey &Key, uint64_t Count) {
+    if (Heap.size() == K && (K == 0 || Count < Heap.front().Count))
+      return;
+    Candidate C{Count,
+                Key.Bench < Rank.size() ? Rank[Key.Bench] : UnknownRank,
+                Key.Func, Key.Index, Key.Bench};
+    if (Heap.size() < K) {
+      Heap.push_back(C);
+      std::push_heap(Heap.begin(), Heap.end(), Hotter);
+    } else if (Hotter(C, Heap.front())) {
+      std::pop_heap(Heap.begin(), Heap.end(), Hotter);
+      Heap.back() = C;
+      std::push_heap(Heap.begin(), Heap.end(), Hotter);
+    }
+  };
+  for (const auto &SP : Shards) {
+    const Shard &S = *SP;
+    for (const Shard::Cell &C : S.Cells) {
+      uint64_t P = C.Key.load(std::memory_order_acquire);
+      // Empty cells read as kind 7 and fail this test too.
+      if (packedKind(P) != CountKind::Path)
+        continue;
+      uint64_t Count = C.Count.load(std::memory_order_relaxed);
+      if (Count > 0)
+        Offer(unpackKey(P), Count);
+    }
+    std::lock_guard<std::mutex> Lock(S.OverflowMu);
+    for (const OverflowTable::Slot &O : S.Overflow.slots())
+      if (O.Key.Kind == CountKind::Path)
+        Offer(O.Key, O.Count);
   }
+
+  std::sort_heap(Heap.begin(), Heap.end(), Hotter);
+  std::vector<NamedRow> Rows;
+  Rows.reserve(Heap.size());
+  for (const Candidate &C : Heap)
+    Rows.push_back({C.Bench < Names.size() ? Names[C.Bench] : std::string("?"),
+                    CountKind::Path, C.Func, C.Index, C.Count});
   obs::histogram("serve.query.ns")
       .record(static_cast<uint64_t>(
           std::chrono::duration_cast<std::chrono::nanoseconds>(

@@ -7,7 +7,7 @@
 /// snapshot them, all without a global lock.
 ///
 /// Layout. Each shard owns a fixed-capacity open-addressed table of
-/// (packed key, count) cells plus an overflow map. A key (benchmark,
+/// (packed key, count) cells plus an overflow table. A key (benchmark,
 /// kind, function, index) is mixed to a 64-bit hash, mapped to its
 /// shard by an exact reciprocal remainder (serve/ShardHash.h), and
 /// probed into the shard's cells by double hashing. The fast path is
@@ -15,8 +15,18 @@
 /// with relaxed atomic read-modify-writes after that, so concurrent
 /// ingest threads only serialize on genuinely colliding cache lines.
 /// Keys that exhaust the probe budget, or are too large to pack into 64
-/// bits, fall through to the shard's overflow map under that shard's
-/// mutex -- still no cross-shard serialization.
+/// bits, fall through to the shard's overflow table under that shard's
+/// mutex -- still no cross-shard serialization. The overflow table is
+/// flat: open addressing with linear probing over 24-byte (key, count)
+/// slots, grown at 3/4 load. Decay halves it in place and erases keys
+/// that reach zero by shifting their probe runs back, so it never
+/// reallocates and holds only live keys.
+///
+/// Queries. hottestPaths(k) reads the aggregate in place: one pass over
+/// every cell and overflow slot, skipping non-path keys by their packed
+/// kind bits, keeps the k hottest in a bounded heap. It costs one read
+/// per stored key plus O(log k) per key that beats the heap's coldest,
+/// allocates O(k + benchmarks), and resolves names only for the winners.
 ///
 /// Scaling. Per-shard capacity is fixed, so the shard count scales both
 /// the lock-free fast capacity and (on multicore hosts) merge
@@ -57,7 +67,7 @@ struct AggregatorConfig {
   uint32_t Shards = 8;
   /// Fast cells per shard; rounded up to a power of two.
   uint32_t CellsPerShard = 4096;
-  /// Probes before a key falls through to the overflow map. At the
+  /// Probes before a key falls through to the overflow table. At the
   /// design load factor (<= ~0.72 with double hashing) a budget of 16
   /// leaves under 1% of packable keys falsely overflowing; a genuinely
   /// saturated table pays the full budget per miss, which is the
@@ -110,8 +120,8 @@ public:
   /// a racing merge is never lost).
   void decay();
 
-  /// The k hottest path counters right now (count desc, key asc).
-  /// Safe while ingest continues.
+  /// The k hottest path counters right now: count desc, then bench
+  /// name, func and index asc. Safe while ingest continues.
   std::vector<NamedRow> hottestPaths(unsigned K) const;
 
   /// Every nonzero counter with benchmark names resolved. Exact once
@@ -121,7 +131,7 @@ public:
   struct Stats {
     uint64_t Merges = 0;        ///< Counter merges applied.
     uint64_t FastMerges = 0;    ///< ...landed in lock-free cells.
-    uint64_t OverflowMerges = 0;///< ...fell through to overflow maps.
+    uint64_t OverflowMerges = 0;///< ...fell through to overflow tables.
     uint64_t Probes = 0;        ///< Fast cells examined.
     uint64_t CellsClaimed = 0;  ///< Distinct fast cells in use.
     uint64_t OverflowKeys = 0;  ///< Distinct overflow keys in use.

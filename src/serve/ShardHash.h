@@ -61,7 +61,7 @@ inline constexpr unsigned PackedIndexBits = 32;
 inline constexpr uint64_t EmptyPackedKey = ~uint64_t(0);
 
 /// True when \p K fits the packed budget (the overwhelmingly common
-/// case; oversized keys take the per-shard overflow map instead).
+/// case; oversized keys take the per-shard overflow table instead).
 inline bool fitsPacked(const AggKey &K) {
   return K.Bench < (1u << PackedBenchBits) &&
          K.Func < (1u << PackedFuncBits) &&
@@ -76,13 +76,19 @@ inline uint64_t packKey(const AggKey &K) {
          (static_cast<uint64_t>(K.Func) << PackedIndexBits) | K.Index;
 }
 
+/// The kind bits of a packed key, read without unpacking the rest
+/// (EmptyPackedKey reads as kind 7, which no counter has).
+inline CountKind packedKind(uint64_t P) {
+  return static_cast<CountKind>((P >> (PackedFuncBits + PackedIndexBits)) &
+                                ((1u << PackedKindBits) - 1));
+}
+
 inline AggKey unpackKey(uint64_t P) {
   AggKey K;
   K.Index = P & ((uint64_t(1) << PackedIndexBits) - 1);
   K.Func = static_cast<uint32_t>(P >> PackedIndexBits) &
            ((1u << PackedFuncBits) - 1);
-  K.Kind = static_cast<CountKind>(
-      (P >> (PackedFuncBits + PackedIndexBits)) & ((1u << PackedKindBits) - 1));
+  K.Kind = packedKind(P);
   K.Bench = static_cast<uint16_t>(
       P >> (PackedKindBits + PackedFuncBits + PackedIndexBits));
   return K;

@@ -4,12 +4,14 @@
 /// canonical/commutative algebra, shard selection pinned identical to
 /// `%`, the sharded aggregator pinned byte-identical to the sequential
 /// oracle (single-threaded, concurrent, and through the overflow path),
-/// decay and query semantics, and the ingest session over an in-process
-/// pipe at hostile chunkings.
+/// decay and query semantics (the in-place query pinned to a fully
+/// sorted snapshot, the flat overflow table to a map model), and the
+/// ingest session over an in-process pipe at hostile chunkings.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "profile/Merge.h"
+#include "serve/OverflowTable.h"
 #include "serve/Server.h"
 #include "serve/ShardHash.h"
 
@@ -18,8 +20,10 @@
 #include <algorithm>
 #include <map>
 #include <numeric>
+#include <random>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 using namespace ppp;
@@ -302,7 +306,7 @@ TEST(Aggregator, ConcurrentIngestMatchesOracle) {
 
 TEST(Aggregator, OverflowPathIsStillExact) {
   // A deliberately starved fast table (8 cells, 2 probes) pushes almost
-  // everything through the locked overflow maps; exactness must not
+  // everything through the locked overflow tables; exactness must not
   // depend on which path a key takes.
   std::vector<CountsMessage> Ms = fleetMessages(4, 250);
   AggregatorConfig C;
@@ -390,6 +394,314 @@ TEST(Aggregator, HottestPathsAreOrderedAndDeterministic) {
   for (int I = 0; I < 3; ++I)
     EXPECT_EQ(formatAggregate(Agg.hottestPaths(3)),
               formatAggregate(Top)) << "repeat queries must agree";
+}
+
+/// A shard count and fast table small enough that most keys overflow.
+AggregatorConfig starvedConfig() {
+  AggregatorConfig C;
+  C.Shards = 2;
+  C.CellsPerShard = 8;
+  C.MaxProbes = 2;
+  return C;
+}
+
+/// hottestPaths' order: count desc, then bench name, func, index asc.
+bool hotter(const NamedRow &A, const NamedRow &B) {
+  if (A.Count != B.Count)
+    return A.Count > B.Count;
+  return std::tie(A.Bench, A.Func, A.Index) <
+         std::tie(B.Bench, B.Func, B.Index);
+}
+
+/// The query by definition: every path row of the snapshot, fully
+/// sorted, cut to \p K.
+std::vector<NamedRow> referenceHottest(const Aggregator &Agg, unsigned K) {
+  std::vector<NamedRow> Rows = Agg.snapshotRows();
+  std::erase_if(Rows,
+                [](const NamedRow &R) { return R.Kind != CountKind::Path; });
+  std::sort(Rows.begin(), Rows.end(), hotter);
+  if (Rows.size() > K)
+    Rows.resize(K);
+  return Rows;
+}
+
+/// Rows one per line, in the order given.
+std::string orderedRows(const std::vector<NamedRow> &Rows) {
+  std::string Out;
+  for (const NamedRow &R : Rows)
+    Out += R.Bench + " " + std::to_string(static_cast<unsigned>(R.Kind)) +
+           " " + std::to_string(R.Func) + " " + std::to_string(R.Index) +
+           " " + std::to_string(R.Count) + "\n";
+  return Out;
+}
+
+TEST(Aggregator, HottestPathsMatchTheFullySortedSnapshot) {
+  // Names are interned in reverse name order and every bench carries the
+  // same counts, so a tie broken by intern id instead of name reorders
+  // the answer. Unpackable keys hold the hottest counts; edges are
+  // hotter still and must never rank.
+  std::vector<std::string> Names;
+  for (int B = 11; B >= 0; --B)
+    Names.push_back("bench" + std::string(B < 10 ? "0" : "") +
+                    std::to_string(B));
+  CountsMessage M;
+  for (uint32_t Func = 0; Func < 6; ++Func) {
+    FunctionCounts F = funcCounts(Func, {}, {{0, 5000}, {1, 3}});
+    for (uint64_t I = 0; I < 40; ++I)
+      F.PathCounts.emplace_back(I, 1 + (Func * 7 + I * 13) % 53 * 37);
+    M.Funcs.push_back(F);
+  }
+  M.Funcs.push_back(funcCounts(4, {{(uint64_t(1) << 32) + 1, 1961}}));
+  M.Funcs.push_back(
+      funcCounts((1u << 21) + 5, {{2, 37}, {uint64_t(1) << 33, 1961}}));
+  canonicalizeCounts(M);
+
+  for (const AggregatorConfig &C : {AggregatorConfig(), starvedConfig()}) {
+    Aggregator Agg(C);
+    for (const std::string &Name : Names) {
+      M.Benchmark = Name;
+      Agg.ingest(Agg.internBenchmark(Name), M);
+    }
+    // Ids never interned read as "?": one packable, one past the 8-bit
+    // bench budget.
+    Agg.ingest(200, M);
+    Agg.ingest(300, M);
+    ASSERT_GT(Agg.stats().OverflowKeys, 0u);
+
+    for (int Decays = 0; Decays <= 12; ++Decays) {
+      unsigned All = static_cast<unsigned>(referenceHottest(Agg, ~0u).size());
+      for (unsigned K : {0u, 1u, 16u, All + 5}) {
+        std::vector<NamedRow> Got = Agg.hottestPaths(K);
+        EXPECT_EQ(Got.size(), std::min(K, All));
+        EXPECT_EQ(orderedRows(Got), orderedRows(referenceHottest(Agg, K)))
+            << "shards=" << C.Shards << " decays=" << Decays << " k=" << K;
+      }
+      Agg.decay();
+    }
+  }
+}
+
+TEST(Aggregator, OverflowTablesMatchAMapModelAcrossIngestAndDecay) {
+  // Every key is unpackable (index past 32 bits, func past 21 bits, or
+  // bench id past 8 bits), so each one lives in an overflow table and
+  // OverflowKeys must equal the model's size. 4000 keys over two shards
+  // grow each table from 16 slots to 4096.
+  Aggregator Agg(starvedConfig());
+  std::vector<std::string> Names;
+  for (int B = 0; B < 300; ++B) {
+    Names.push_back("m" + std::to_string(B));
+    ASSERT_EQ(Agg.internBenchmark(Names.back()), B);
+  }
+  std::mt19937_64 Rng(25);
+  struct Key {
+    uint16_t Bench;
+    CountKind Kind;
+    uint32_t Func;
+    uint64_t Index;
+  };
+  std::vector<Key> Pool;
+  for (int I = 0; I < 4000; ++I) {
+    Key K{static_cast<uint16_t>(Rng() % 256), CountKind::Path,
+          static_cast<uint32_t>(Rng() % 64), Rng() % 64};
+    switch (Rng() % 3) {
+    case 0:
+      K.Index += uint64_t(1) << 32;
+      break;
+    case 1:
+      K.Func += 1u << 21;
+      K.Kind = static_cast<CountKind>(Rng() % 5);
+      break;
+    default:
+      K.Bench = static_cast<uint16_t>(256 + Rng() % 44);
+      K.Kind = static_cast<CountKind>(Rng() % 5);
+      break;
+    }
+    if (K.Kind != CountKind::Path && K.Kind != CountKind::Edge)
+      K.Index = 0;
+    Pool.push_back(K);
+  }
+
+  std::map<std::tuple<uint16_t, CountKind, uint32_t, uint64_t>, uint64_t>
+      Model;
+  auto Check = [&](const std::string &When) {
+    std::vector<NamedRow> Rows;
+    for (const auto &[K, Count] : Model)
+      Rows.push_back({Names[std::get<0>(K)], std::get<1>(K), std::get<2>(K),
+                      std::get<3>(K), Count});
+    EXPECT_EQ(aggregatorDump(Agg), formatAggregate(Rows)) << When;
+    EXPECT_EQ(Agg.stats().OverflowKeys, Model.size()) << When;
+  };
+  for (int Step = 1; Step <= 24; ++Step) {
+    // Each step draws from a longer prefix of the pool, so the live key
+    // set keeps growing while decay keeps erasing.
+    size_t Reach = std::min(Pool.size(), size_t(Step) * 200);
+    for (int I = 0; I < 600; ++I) {
+      const Key &K = Pool[Rng() % Reach];
+      uint64_t Count = 1 + Rng() % 1000;
+      FunctionCounts F;
+      F.Func = K.Func;
+      switch (K.Kind) {
+      case CountKind::Path:
+        F.PathCounts = {{K.Index, Count}};
+        break;
+      case CountKind::Edge:
+        F.EdgeCounts = {{static_cast<uint32_t>(K.Index), Count}};
+        break;
+      case CountKind::Lost:
+        F.Lost = Count;
+        break;
+      case CountKind::Cold:
+        F.Cold = Count;
+        break;
+      case CountKind::Invalid:
+        F.Invalid = Count;
+        break;
+      }
+      CountsMessage Msg;
+      Msg.Funcs = {F};
+      Agg.ingest(K.Bench, Msg);
+      Model[{K.Bench, K.Kind, K.Func, K.Index}] += Count;
+    }
+    Check("after ingest " + std::to_string(Step));
+    // Two decays per step: most keys survive one, many die in two.
+    for (int D = 0; D < 2; ++D) {
+      Agg.decay();
+      for (auto It = Model.begin(); It != Model.end();)
+        It = (It->second >>= 1) == 0 ? Model.erase(It) : std::next(It);
+      Check("after decay " + std::to_string(Step) + "." + std::to_string(D));
+    }
+  }
+  EXPECT_GT(Model.size(), 1500u) << "the pool never loaded the tables";
+}
+
+/// Every live slot must be reachable from its home slot: no empty slot
+/// between them (the linear-probing invariant deletion must keep).
+bool probeRunsIntact(const OverflowTable &T) {
+  const auto &Slots = T.slots();
+  size_t Mask = Slots.size() - 1;
+  for (size_t P = 0; P < Slots.size(); ++P) {
+    if (!OverflowTable::live(Slots[P]))
+      continue;
+    for (size_t I = T.home(Slots[P].Key); I != P; I = (I + 1) & Mask)
+      if (!OverflowTable::live(Slots[I]))
+        return false;
+  }
+  return true;
+}
+
+TEST(OverflowTable, DeletionShiftsProbeRunsBackAcrossTheTableEnd) {
+  // Four keys whose runs wrap: A and B home at the last slot (15), C and
+  // D at slot 0, so they fill 15, 0, 1, 2. Decay zeroes A and C; B and D
+  // must each shift back past the end, be halved once, and stay found.
+  OverflowTable T;
+  auto KeyHomedAt = [](size_t Home, uint64_t &Next) {
+    for (;; ++Next) {
+      AggKey K{7, CountKind::Path, 3, Next};
+      if (hashAggKey(K) >> 60 == Home) // 16 slots: the top 4 bits.
+        return K;
+    }
+  };
+  uint64_t Next = 0;
+  AggKey A = KeyHomedAt(15, Next), B = KeyHomedAt(15, ++Next);
+  AggKey C = KeyHomedAt(0, ++Next), D = KeyHomedAt(0, ++Next);
+  T.add(A, 1);
+  T.add(B, 4);
+  T.add(C, 1);
+  T.add(D, 6);
+  ASSERT_EQ(T.slots().size(), 16u);
+  ASSERT_EQ(T.home(A), 15u);
+  EXPECT_EQ(T.slots()[15].Key, A);
+  EXPECT_EQ(T.slots()[0].Key, B);
+  EXPECT_EQ(T.slots()[1].Key, C);
+  EXPECT_EQ(T.slots()[2].Key, D);
+
+  T.decay();
+  EXPECT_EQ(T.size(), 2u);
+  EXPECT_EQ(T.slots()[15].Key, B);
+  EXPECT_EQ(T.slots()[15].Count, 2u) << "halved once, though it moved";
+  EXPECT_EQ(T.slots()[0].Key, D);
+  EXPECT_EQ(T.slots()[0].Count, 3u) << "halved once, though it moved";
+  EXPECT_FALSE(OverflowTable::live(T.slots()[1]));
+  EXPECT_TRUE(probeRunsIntact(T));
+
+  // Re-adding finds the moved keys instead of inserting duplicates.
+  T.add(B, 1);
+  T.add(D, 1);
+  EXPECT_EQ(T.size(), 2u);
+  EXPECT_EQ(T.slots()[15].Count, 3u);
+  EXPECT_EQ(T.slots()[0].Count, 4u);
+}
+
+TEST(OverflowTable, GrowsAtThreeQuartersAndKeepsEveryCount) {
+  OverflowTable T;
+  std::map<uint64_t, uint64_t> Model;
+  for (uint64_t I = 0; I < 5000; ++I) {
+    uint64_t Index = (I * 2654435761u) % 1500;
+    T.add(AggKey{1, CountKind::Edge, 9, Index}, I + 1);
+    Model[Index] += I + 1;
+    ASSERT_LE(T.size() * 4, T.slots().size() * 3);
+  }
+  EXPECT_EQ(T.size(), Model.size());
+  EXPECT_EQ(T.slots().size(), 2048u);
+  EXPECT_TRUE(probeRunsIntact(T));
+  for (const OverflowTable::Slot &S : T.slots())
+    if (OverflowTable::live(S)) {
+      EXPECT_EQ(S.Count, Model[S.Key.Index]);
+    }
+  // Decay to empty reallocates nothing.
+  for (int I = 0; I < 40 && T.size() > 0; ++I) {
+    T.decay();
+    EXPECT_TRUE(probeRunsIntact(T));
+  }
+  EXPECT_EQ(T.size(), 0u);
+  EXPECT_EQ(T.slots().size(), 2048u);
+}
+
+TEST(Aggregator, QueriesDuringConcurrentIngestStayOrderedAndExact) {
+  // Four ingest threads into a starved store (fleet keys plus
+  // unpackable ones) while a fifth loops hottestPaths(16): every answer
+  // must be ordered, and the quiesced aggregate must equal the oracle.
+  std::vector<CountsMessage> Ms = fleetMessages(4, 250);
+  for (CountsMessage &M : Ms) {
+    M.Funcs.push_back(funcCounts((1u << 21) + 1, {{3, 60}, {4, 90}}));
+    M.Funcs.push_back(funcCounts(2, {{uint64_t(1) << 35, 75}}));
+    canonicalizeCounts(M);
+  }
+  Aggregator Agg(starvedConfig());
+  std::vector<uint16_t> Ids;
+  for (const CountsMessage &M : Ms)
+    Ids.push_back(Agg.internBenchmark(M.Benchmark));
+
+  std::atomic<bool> Done{false};
+  unsigned Queries = 0, Disordered = 0;
+  std::thread Reader([&] {
+    do {
+      std::vector<NamedRow> Top = Agg.hottestPaths(16);
+      ++Queries;
+      if (Top.size() > 16 || !std::is_sorted(Top.begin(), Top.end(), hotter))
+        ++Disordered;
+    } while (!Done.load());
+  });
+  std::vector<std::thread> Pool;
+  for (unsigned T = 0; T < 4; ++T)
+    Pool.emplace_back([&, T] {
+      for (unsigned R = 0; R < 20; ++R)
+        Agg.ingest(Ids[T], Ms[T]);
+    });
+  for (std::thread &T : Pool)
+    T.join();
+  Done = true;
+  Reader.join();
+
+  std::vector<CountsMessage> Expanded;
+  for (unsigned T = 0; T < 4; ++T)
+    for (unsigned R = 0; R < 20; ++R)
+      Expanded.push_back(Ms[T]);
+  EXPECT_EQ(aggregatorDump(Agg), oracleDump(Expanded));
+  EXPECT_GT(Queries, 0u);
+  EXPECT_EQ(Disordered, 0u);
+  EXPECT_EQ(orderedRows(Agg.hottestPaths(16)),
+            orderedRows(referenceHottest(Agg, 16)));
 }
 
 //===----------------------------------------------------------------------===//

@@ -343,8 +343,9 @@ int cmdOracle(Flags &F) {
 /// The ingest benchmark's fixed shape: 8 senders x 16 module identities
 /// (~95k distinct keys), 16384 cells and 16 probes per shard, decay and
 /// a hottestPaths(16) query every QueryPeriod while a round runs. The
-/// decay cadence sets the low-shard rates (DESIGN.md §10.4); rounds 4x
-/// longer than IngestsPerClient move merges/sec by 2-5%.
+/// one shard's overflow lock sets the 1-shard rate; a 4x faster or
+/// once-per-round cadence moves it by under 10%, and rounds 4x longer
+/// than IngestsPerClient by 2-5% (DESIGN.md §10.4).
 constexpr unsigned BenchClients = 8, BenchIdentities = 16;
 constexpr uint32_t BenchCells = 16384, BenchProbes = 16;
 constexpr uint32_t BenchShards[] = {1, 2, 4, 8};
@@ -353,13 +354,15 @@ constexpr auto QueryPeriod = std::chrono::milliseconds(100);
 constexpr unsigned BenchWarmup = 1, BenchReps = 8;
 
 /// One configuration: its aggregator, which lives across every round,
-/// the ids its senders ingest under (Ids[client][identity]), and each
+/// the ids its senders ingest under (Ids[client][identity]), each
 /// round's fast-path fraction, overflow keys and decay+query passes
-/// (they move with how decay interleaves the ingest).
+/// (they move with how decay interleaves the ingest), and the wall
+/// milliseconds of every decay and query call, taken under ingest.
 struct BenchTable {
   std::unique_ptr<Aggregator> Agg;
   std::vector<std::vector<uint16_t>> Ids;
   std::vector<double> FastFraction, OverflowKeys, DecayPasses;
+  std::vector<double> DecayMs, QueryMs;
 };
 
 int cmdBench(Flags &F) {
@@ -440,11 +443,20 @@ int cmdBench(Flags &F) {
           Cv.notify_one();
       });
     uint64_t Queries = 0;
+    auto MsSince = [](std::chrono::steady_clock::time_point T) {
+      return std::chrono::duration<double, std::milli>(
+                 std::chrono::steady_clock::now() - T)
+          .count();
+    };
     std::unique_lock<std::mutex> L(M);
     do {
       L.unlock();
+      auto T0 = std::chrono::steady_clock::now();
       Agg.decay();
+      T.DecayMs.push_back(MsSince(T0));
+      T0 = std::chrono::steady_clock::now();
       (void)Agg.hottestPaths(16);
+      T.QueryMs.push_back(MsSince(T0));
       ++Queries;
       L.lock();
     } while (
@@ -473,19 +485,24 @@ int cmdBench(Flags &F) {
     Variants.push_back([&, C] { Round(C); });
   bench::Samples S = bench::measure(Variants, BenchWarmup, BenchReps);
 
-  printf("%-8s %14s %10s %8s %12s %8s\n", "shards", "merges/sec", "iqr",
-         "fast%", "overflow", "decays");
+  printf("%-8s %14s %10s %8s %12s %8s %10s %10s\n", "shards", "merges/sec",
+         "iqr", "fast%", "overflow", "decays", "decay-ms", "query-ms");
   for (size_t C = 0; C < NumConfigs; ++C) {
     bench::Spread Rate = S.rate(C, static_cast<double>(MergesPerRound));
     bench::Spread Fast = bench::spreadOf(Tables[C].FastFraction);
     bench::Spread Overflow = bench::spreadOf(Tables[C].OverflowKeys);
+    bench::Spread Decay = bench::spreadOf(Tables[C].DecayMs);
+    bench::Spread Query = bench::spreadOf(Tables[C].QueryMs);
     std::string Prefix = formatString("serve.bench.shards%u", BenchShards[C]);
     bench::publish(Prefix + ".merges_per_sec", Rate);
     bench::publish(Prefix + ".fast_fraction", Fast);
     bench::publish(Prefix + ".overflow_keys", Overflow);
-    printf("%-8u %14.0f %10.0f %7.1f%% %12.0f %8.0f\n", BenchShards[C],
-           Rate.Median, Rate.Iqr, 100.0 * Fast.Median, Overflow.Median,
-           bench::spreadOf(Tables[C].DecayPasses).Median);
+    bench::publish(Prefix + ".decay_ms", Decay);
+    bench::publish(Prefix + ".query_ms", Query);
+    printf("%-8u %14.0f %10.0f %7.1f%% %12.0f %8.0f %10.2f %10.2f\n",
+           BenchShards[C], Rate.Median, Rate.Iqr, 100.0 * Fast.Median,
+           Overflow.Median, bench::spreadOf(Tables[C].DecayPasses).Median,
+           Decay.Median, Query.Median);
   }
   bench::Spread Scaling = S.ratio(0, NumConfigs - 1);
   bench::publish("serve.bench.scaling_max_vs_1", Scaling);
