@@ -1,7 +1,12 @@
-//===- bench/Experiments.cpp - Experiment registry ------------------------===//
+//===- bench/Experiments.cpp - Registry and shared suite table ------------===//
 
 #include "Experiments.h"
 
+#include "PrepCache.h"
+
+#include "pass/AnalysisManager.h"
+
+using namespace ppp;
 using namespace ppp::bench;
 
 namespace {
@@ -33,4 +38,26 @@ const ExperimentInfo *ppp::bench::findExperiment(const std::string &Name) {
     if (Name == E.Name)
       return &E;
   return nullptr;
+}
+
+const std::vector<SuiteResult> &ppp::bench::suiteResults() {
+  static const std::vector<SuiteResult> Rows =
+      runSuiteParallel(spec2000Suite(), [](const BenchmarkSpec &Spec) {
+        SuiteResult R;
+        R.Spec = Spec;
+        R.Prepared = prepareShared(Spec, CostModel());
+        if (!R.Prepared)
+          R.Prepared =
+              std::make_shared<const PreparedBenchmark>(prepareUncached(Spec));
+        const PreparedBenchmark &B = *R.Prepared;
+        R.Edge = evaluateEdgeProfiling(B);
+        FunctionAnalysisManager FAM(B.Expanded, &B.EP);
+        R.Pp = runProfiler(B, ProfilerOptions::pp(), &FAM);
+        R.Tpp = runProfiler(B, ProfilerOptions::tpp(), &FAM);
+        R.Ppp = runProfiler(B, ProfilerOptions::ppp(), &FAM);
+        R.Trace = runProfiler(B, ProfilerOptions::trace(), &FAM);
+        R.TraceTimed = runProfiler(B, ProfilerOptions::traceTimed(), &FAM);
+        return R;
+      });
+  return Rows;
 }

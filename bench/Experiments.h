@@ -17,16 +17,56 @@
 /// dependent (the wall-clock benches interp_throughput and
 /// adaptive_steadystate) are deliberately not part of this registry.
 ///
+/// Sec. 8's figures are four views of one set of profiling runs, so
+/// every benchmark is profiled once per standard preset, into the
+/// shared suiteResults() table: Figs. 9-12 (standard costs) print it,
+/// and every other experiment takes its pp/tpp/ppp/trace baselines
+/// and kiter_blowup its k = 1 cells from it. Only variant, checked,
+/// Alpha-cost and k > 1 runs call runProfiler() themselves. The table
+/// is also the input a claims check over the figures reads, instead
+/// of their stdout.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef PPP_BENCH_EXPERIMENTS_H
 #define PPP_BENCH_EXPERIMENTS_H
 
+#include "Harness.h"
+
+#include <memory>
 #include <span>
 #include <string>
+#include <vector>
 
 namespace ppp {
 namespace bench {
+
+/// One benchmark's standard-cost profiling results.
+struct SuiteResult {
+  BenchmarkSpec Spec;
+  /// The preparation every outcome below ran on (their plans hold
+  /// analyses of its Expanded module, so it lives as long as they do).
+  std::shared_ptr<const PreparedBenchmark> Prepared;
+  EdgeProfilingOutcome Edge;
+  ProfilerOutcome Pp, Tpp, Ppp, Trace, TraceTimed;
+};
+
+/// The shared table, one row per spec2000Suite() benchmark in suite
+/// order. The first call builds it on a runSuiteParallel() pool; call
+/// it from the main thread, never from inside a worker.
+const std::vector<SuiteResult> &suiteResults();
+
+/// runSuiteParallel() with each benchmark's row: \p Work(Row) runs once
+/// per benchmark, after the table is built on the calling thread.
+template <typename WorkFn>
+auto runOverSuite(WorkFn Work)
+    -> std::vector<std::invoke_result_t<WorkFn, const SuiteResult &>> {
+  const std::vector<SuiteResult> &Rows = suiteResults();
+  return runParallel(
+      Rows, parallelJobs(Rows.size()),
+      [](const SuiteResult &R) -> const std::string & { return R.Spec.Name; },
+      Work);
+}
 
 int runTable1Inlining();
 int runTable2Hotpaths();

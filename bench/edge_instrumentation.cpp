@@ -11,8 +11,6 @@
 
 #include "Experiments.h"
 
-#include "Harness.h"
-
 #include "edgeprof/EdgeInstrumenter.h"
 #include "interp/Interpreter.h"
 
@@ -46,19 +44,17 @@ int ppp::bench::runEdgeInstrumentation() {
     std::string Name;
     double Vals[4] = {0, 0, 0, 0};
   };
-  std::vector<Row> Rows =
-      runSuiteParallel(spec2000Suite(), [](const BenchmarkSpec &Spec) {
-        PreparedBenchmark B = prepare(Spec);
-        EdgeInstrumenterOptions Naive;
-        Naive.CountEveryEdge = true;
-        EdgeInstrumenterOptions Tree;
-        EdgeInstrumenterOptions TreeProf;
-        TreeProf.Weights = &B.EP;
-        return Row{B.Name,
-                   {edgeOverhead(B, Naive), edgeOverhead(B, Tree),
-                    edgeOverhead(B, TreeProf),
-                    runProfiler(B, ProfilerOptions::ppp()).OverheadPct}};
-      });
+  std::vector<Row> Rows = runOverSuite([](const SuiteResult &S) {
+    const PreparedBenchmark &B = *S.Prepared;
+    EdgeInstrumenterOptions Naive;
+    Naive.CountEveryEdge = true;
+    EdgeInstrumenterOptions Tree;
+    EdgeInstrumenterOptions TreeProf;
+    TreeProf.Weights = &B.EP;
+    return Row{S.Spec.Name,
+               {edgeOverhead(B, Naive), edgeOverhead(B, Tree),
+                edgeOverhead(B, TreeProf), S.Ppp.OverheadPct}};
+  });
 
   double Sum[4] = {0, 0, 0, 0};
   int N = 0;

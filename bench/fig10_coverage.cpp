@@ -9,47 +9,24 @@
 
 #include "Experiments.h"
 
-#include "Harness.h"
-
-#include "pass/AnalysisManager.h"
-
 #include <cstdio>
 
 using namespace ppp;
 using namespace ppp::bench;
-
-namespace {
-
-struct Row {
-  std::string Name;
-  double Vals[3] = {0, 0, 0};
-};
-
-} // namespace
 
 int ppp::bench::runFig10Coverage() {
   printf("Figure 10: coverage (fraction of actual path profile "
          "measured), percent\n\n");
   printHeader("bench", {"edge", "tpp", "ppp"});
 
-  std::vector<Row> Rows =
-      runSuiteParallel(spec2000Suite(), [](const BenchmarkSpec &Spec) {
-        PreparedBenchmark B = prepare(Spec);
-        FunctionAnalysisManager FAM(B.Expanded, &B.EP);
-        EdgeProfilingOutcome Edge = evaluateEdgeProfiling(B);
-        ProfilerOutcome Tpp = runProfiler(B, ProfilerOptions::tpp(), &FAM);
-        ProfilerOutcome Ppp = runProfiler(B, ProfilerOptions::ppp(), &FAM);
-        return Row{B.Name,
-                   {100.0 * Edge.Coverage, 100.0 * Tpp.Cov.Coverage,
-                    100.0 * Ppp.Cov.Coverage}};
-      });
-
   double Sum[3] = {0, 0, 0};
   int N = 0;
-  for (const Row &R : Rows) {
-    printRow(R.Name, {R.Vals[0], R.Vals[1], R.Vals[2]}, "%10.1f");
+  for (const SuiteResult &R : suiteResults()) {
+    double Vals[3] = {100.0 * R.Edge.Coverage, 100.0 * R.Tpp.Cov.Coverage,
+                      100.0 * R.Ppp.Cov.Coverage};
+    printRow(R.Spec.Name, {Vals[0], Vals[1], Vals[2]}, "%10.1f");
     for (int I = 0; I < 3; ++I)
-      Sum[I] += R.Vals[I];
+      Sum[I] += Vals[I];
     ++N;
   }
   printf("\n");

@@ -7,23 +7,10 @@
 
 #include "Experiments.h"
 
-#include "Harness.h"
-
-#include "pass/AnalysisManager.h"
-
 #include <cstdio>
 
 using namespace ppp;
 using namespace ppp::bench;
-
-namespace {
-
-struct Row {
-  std::string Name;
-  std::vector<double> Vals;
-};
-
-} // namespace
 
 int ppp::bench::runFig11Instrumented() {
   printf("Figure 11: fraction of dynamic paths instrumented, percent "
@@ -31,27 +18,17 @@ int ppp::bench::runFig11Instrumented() {
   printHeader("bench", {"pp", "pp-hash", "tpp", "tpp-hash", "ppp",
                         "ppp-hash"});
 
-  std::vector<Row> Rows =
-      runSuiteParallel(spec2000Suite(), [](const BenchmarkSpec &Spec) {
-        PreparedBenchmark B = prepare(Spec);
-        FunctionAnalysisManager FAM(B.Expanded, &B.EP);
-        Row R{B.Name, {}};
-        for (const ProfilerOptions &Opts :
-             {ProfilerOptions::pp(), ProfilerOptions::tpp(),
-              ProfilerOptions::ppp()}) {
-          ProfilerOutcome Out = runProfiler(B, Opts, &FAM);
-          R.Vals.push_back(100.0 * Out.Frac.Total);
-          R.Vals.push_back(100.0 * Out.Frac.Hashed);
-        }
-        return R;
-      });
-
   double Sum[6] = {0};
   int N = 0;
-  for (const Row &R : Rows) {
-    printRow(R.Name, R.Vals, "%10.1f");
+  for (const SuiteResult &R : suiteResults()) {
+    std::vector<double> Vals;
+    for (const ProfilerOutcome *Out : {&R.Pp, &R.Tpp, &R.Ppp}) {
+      Vals.push_back(100.0 * Out->Frac.Total);
+      Vals.push_back(100.0 * Out->Frac.Hashed);
+    }
+    printRow(R.Spec.Name, Vals, "%10.1f");
     for (int I = 0; I < 6; ++I)
-      Sum[I] += R.Vals[static_cast<size_t>(I)];
+      Sum[I] += Vals[static_cast<size_t>(I)];
     ++N;
   }
   printf("\n");

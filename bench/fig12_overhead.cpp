@@ -13,8 +13,6 @@
 
 #include "Experiments.h"
 
-#include "Harness.h"
-
 #include "pass/AnalysisManager.h"
 
 #include <cstdio>
@@ -30,23 +28,9 @@ struct Row {
   double Vals[5] = {0, 0, 0, 0, 0};
 };
 
-void runTable(const char *Title, const CostModel &Costs) {
+void printTable(const char *Title, const std::vector<Row> &Rows) {
   printf("%s\n\n", Title);
   printHeader("bench", {"pp", "tpp", "ppp", "trace", "trace+t"});
-
-  std::vector<Row> Rows =
-      runSuiteParallel(spec2000Suite(), [&](const BenchmarkSpec &Spec) {
-        PreparedBenchmark B = prepare(Spec, Costs);
-        FunctionAnalysisManager FAM(B.Expanded, &B.EP);
-        Row R{B.Name, B.IsFp, {}};
-        int I = 0;
-        for (const ProfilerOptions &Opts :
-             {ProfilerOptions::pp(), ProfilerOptions::tpp(),
-              ProfilerOptions::ppp(), ProfilerOptions::trace(),
-              ProfilerOptions::traceTimed()})
-          R.Vals[I++] = runProfiler(B, Opts, &FAM).OverheadPct;
-        return R;
-      });
 
   double Sum[5] = {0, 0, 0, 0, 0}, IntSum[5] = {0, 0, 0, 0, 0},
          FpSum[5] = {0, 0, 0, 0, 0};
@@ -83,10 +67,31 @@ void runTable(const char *Title, const CostModel &Costs) {
 
 int ppp::bench::runFig12Overhead() {
   printf("Figure 12: profiling overhead, percent of base runtime\n\n");
-  runTable("-- standard cost model --", CostModel());
-  runTable("-- Alpha-21164-like cost model (counter updates relatively "
-           "expensive,\n   as on the paper's hardware) --",
-           CostModel::alpha21164());
+  std::vector<Row> Standard;
+  for (const SuiteResult &R : suiteResults())
+    Standard.push_back({R.Spec.Name,
+                        R.Spec.IsFp,
+                        {R.Pp.OverheadPct, R.Tpp.OverheadPct,
+                         R.Ppp.OverheadPct, R.Trace.OverheadPct,
+                         R.TraceTimed.OverheadPct}});
+  printTable("-- standard cost model --", Standard);
+
+  std::vector<Row> Alpha =
+      runSuiteParallel(spec2000Suite(), [](const BenchmarkSpec &Spec) {
+        PreparedBenchmark B = prepare(Spec, CostModel::alpha21164());
+        FunctionAnalysisManager FAM(B.Expanded, &B.EP);
+        Row R{B.Name, B.IsFp, {}};
+        int I = 0;
+        for (const ProfilerOptions &Opts :
+             {ProfilerOptions::pp(), ProfilerOptions::tpp(),
+              ProfilerOptions::ppp(), ProfilerOptions::trace(),
+              ProfilerOptions::traceTimed()})
+          R.Vals[I++] = runProfiler(B, Opts, &FAM).OverheadPct;
+        return R;
+      });
+  printTable("-- Alpha-21164-like cost model (counter updates relatively "
+             "expensive,\n   as on the paper's hardware) --",
+             Alpha);
   printf("Expected shape (paper): PP ~31%% average (up to ~100%% on "
          "branchy code);\nTPP ~12%%; PPP ~5%% with the biggest PPP wins "
          "on the INT side. Our cost model\nis deterministic, so the "

@@ -17,8 +17,6 @@
 
 #include "Experiments.h"
 
-#include "Harness.h"
-
 #include "pass/AnalysisManager.h"
 #include "pass/Pipeline.h"
 
@@ -47,22 +45,19 @@ int ppp::bench::runFig13Ablation() {
     bool Shown = false;
     std::vector<double> Vals;
   };
-  std::vector<Row> Rows =
-      runSuiteParallel(spec2000Suite(), [&](const BenchmarkSpec &Spec) {
-        PreparedBenchmark B = prepare(Spec);
-        FunctionAnalysisManager FAM(B.Expanded, &B.EP);
-        ProfilerOutcome Tpp = runProfiler(B, ProfilerOptions::tpp(), &FAM);
-        ProfilerOutcome Ppp = runProfiler(B, ProfilerOptions::ppp(), &FAM);
-        Row R{B.Name, false, {}};
-        if (Tpp.OverheadPct - Ppp.OverheadPct <= 5.0)
-          return R; // The paper plots only significant-improvement cases.
-        R.Shown = true;
-        R.Vals = {Tpp.OverheadPct, Ppp.OverheadPct};
-        for (const char *V : Variants)
-          R.Vals.push_back(
-              runProfiler(B, mustParseProfilerSpec(V), &FAM).OverheadPct);
-        return R;
-      });
+  std::vector<Row> Rows = runOverSuite([&](const SuiteResult &S) {
+    Row R{S.Spec.Name, false, {}};
+    if (S.Tpp.OverheadPct - S.Ppp.OverheadPct <= 5.0)
+      return R; // The paper plots only significant-improvement cases.
+    R.Shown = true;
+    R.Vals = {S.Tpp.OverheadPct, S.Ppp.OverheadPct};
+    const PreparedBenchmark &B = *S.Prepared;
+    FunctionAnalysisManager FAM(B.Expanded, &B.EP);
+    for (const char *V : Variants)
+      R.Vals.push_back(
+          runProfiler(B, mustParseProfilerSpec(V), &FAM).OverheadPct);
+    return R;
+  });
 
   int Shown = 0;
   for (const Row &R : Rows) {

@@ -11,8 +11,6 @@
 
 #include "Experiments.h"
 
-#include "Harness.h"
-
 #include "pass/AnalysisManager.h"
 
 #include <cstdio>
@@ -33,18 +31,17 @@ int ppp::bench::runFig13bPoisoning() {
     std::string Name;
     double Vals[4] = {0, 0, 0, 0};
   };
-  std::vector<Row> Rows =
-      runSuiteParallel(spec2000Suite(), [&](const BenchmarkSpec &Spec) {
-        PreparedBenchmark B = prepare(Spec);
-        FunctionAnalysisManager FAM(B.Expanded, &B.EP);
-        Row R{B.Name, {}};
-        R.Vals[0] = runProfiler(B, ProfilerOptions::tpp(), &FAM).OverheadPct;
-        R.Vals[1] =
-            runProfiler(B, ProfilerOptions::tppChecked(), &FAM).OverheadPct;
-        R.Vals[2] = runProfiler(B, ProfilerOptions::ppp(), &FAM).OverheadPct;
-        R.Vals[3] = runProfiler(B, PppChecked, &FAM).OverheadPct;
-        return R;
-      });
+  std::vector<Row> Rows = runOverSuite([&](const SuiteResult &S) {
+    const PreparedBenchmark &B = *S.Prepared;
+    FunctionAnalysisManager FAM(B.Expanded, &B.EP);
+    Row R{S.Spec.Name, {}};
+    R.Vals[0] = S.Tpp.OverheadPct;
+    R.Vals[1] =
+        runProfiler(B, ProfilerOptions::tppChecked(), &FAM).OverheadPct;
+    R.Vals[2] = S.Ppp.OverheadPct;
+    R.Vals[3] = runProfiler(B, PppChecked, &FAM).OverheadPct;
+    return R;
+  });
 
   double Sum[4] = {0, 0, 0, 0};
   int N = 0;

@@ -11,8 +11,6 @@
 
 #include "Experiments.h"
 
-#include "Harness.h"
-
 #include "pass/AnalysisManager.h"
 #include "pass/Pipeline.h"
 
@@ -39,20 +37,16 @@ int ppp::bench::runFig13cOneAtATime() {
     std::string Name;
     std::vector<double> Vals;
   };
-  std::vector<Row> Rows =
-      runSuiteParallel(spec2000Suite(), [&](const BenchmarkSpec &Spec) {
-        PreparedBenchmark B = prepare(Spec);
-        FunctionAnalysisManager FAM(B.Expanded, &B.EP);
-        Row R{B.Name, {}};
-        R.Vals.push_back(
-            runProfiler(B, ProfilerOptions::tpp(), &FAM).OverheadPct);
-        for (const char *V : Variants)
-          R.Vals.push_back(
-              runProfiler(B, mustParseProfilerSpec(V), &FAM).OverheadPct);
-        R.Vals.push_back(
-            runProfiler(B, ProfilerOptions::ppp(), &FAM).OverheadPct);
-        return R;
-      });
+  std::vector<Row> Rows = runOverSuite([&](const SuiteResult &S) {
+    const PreparedBenchmark &B = *S.Prepared;
+    FunctionAnalysisManager FAM(B.Expanded, &B.EP);
+    Row R{S.Spec.Name, {S.Tpp.OverheadPct}};
+    for (const char *V : Variants)
+      R.Vals.push_back(
+          runProfiler(B, mustParseProfilerSpec(V), &FAM).OverheadPct);
+    R.Vals.push_back(S.Ppp.OverheadPct);
+    return R;
+  });
 
   double Sum[7] = {0};
   int N = 0;

@@ -8,47 +8,25 @@
 
 #include "Experiments.h"
 
-#include "Harness.h"
-
-#include "pass/AnalysisManager.h"
-
 #include <cstdio>
 
 using namespace ppp;
 using namespace ppp::bench;
-
-namespace {
-
-struct Row {
-  std::string Name;
-  double Vals[3] = {0, 0, 0};
-};
-
-} // namespace
 
 int ppp::bench::runFig9Accuracy() {
   printf("Figure 9: accuracy (fraction of hot path flow predicted), "
          "percent\n\n");
   printHeader("bench", {"edge", "tpp", "ppp"});
 
-  std::vector<Row> Rows =
-      runSuiteParallel(spec2000Suite(), [](const BenchmarkSpec &Spec) {
-        PreparedBenchmark B = prepare(Spec);
-        FunctionAnalysisManager FAM(B.Expanded, &B.EP);
-        EdgeProfilingOutcome Edge = evaluateEdgeProfiling(B);
-        ProfilerOutcome Tpp = runProfiler(B, ProfilerOptions::tpp(), &FAM);
-        ProfilerOutcome Ppp = runProfiler(B, ProfilerOptions::ppp(), &FAM);
-        return Row{B.Name,
-                   {100.0 * Edge.Acc.Accuracy, 100.0 * Tpp.Acc.Accuracy,
-                    100.0 * Ppp.Acc.Accuracy}};
-      });
-
   double Sum[3] = {0, 0, 0};
   int N = 0;
-  for (const Row &R : Rows) {
-    printRow(R.Name, {R.Vals[0], R.Vals[1], R.Vals[2]}, "%10.1f");
+  for (const SuiteResult &R : suiteResults()) {
+    double Vals[3] = {100.0 * R.Edge.Acc.Accuracy,
+                      100.0 * R.Tpp.Acc.Accuracy,
+                      100.0 * R.Ppp.Acc.Accuracy};
+    printRow(R.Spec.Name, {Vals[0], Vals[1], Vals[2]}, "%10.1f");
     for (int I = 0; I < 3; ++I)
-      Sum[I] += R.Vals[I];
+      Sum[I] += Vals[I];
     ++N;
   }
   printf("\n");

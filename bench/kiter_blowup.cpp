@@ -10,15 +10,14 @@
 /// the chained and demoted function counts of both. The second reports
 /// what chaining does to the profile: TPP's and PPP's accuracy
 /// (fig9's metric) and coverage (fig10's), and TPP's overhead
-/// (fig12's standard-model column). At k = 1 every number equals the
-/// figures'. Other depths, and fig11's array/hash split at any k, are
-/// one `ppp_cli run <bench> --profiler='<preset>;+kiter<k>'` away.
+/// (fig12's standard-model column). The k = 1 cells are the figures'
+/// own runs, read from the shared suite table. Other depths, and
+/// fig11's array/hash split at any k, are one
+/// `ppp_cli run <bench> --profiler='<preset>;+kiter<k>'` away.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "Experiments.h"
-
-#include "Harness.h"
 
 #include "pass/AnalysisManager.h"
 
@@ -32,6 +31,7 @@ using namespace ppp::bench;
 namespace {
 
 constexpr uint64_t Depths[] = {1, 2, 4};
+static_assert(Depths[0] == 1, "depth 1 is the shared suite table's");
 constexpr size_t NumDepths = sizeof(Depths) / sizeof(Depths[0]);
 enum { Pp, Tpp, Ppp, NumProfs };
 
@@ -52,10 +52,8 @@ struct BenchRow {
   Cell Cells[NumDepths][NumProfs];
 };
 
-Cell measureCell(const PreparedBenchmark &B, FunctionAnalysisManager &FAM,
-                 const ProfilerOptions &Base, uint64_t K) {
+Cell cellOf(const ProfilerOutcome &Out) {
   Cell C;
-  ProfilerOutcome Out = runProfiler(B, atKIterations(Base, K), &FAM);
   C.OverheadPct = Out.OverheadPct;
   C.AccuracyPct = 100.0 * Out.Acc.Accuracy;
   C.CoveragePct = 100.0 * Out.Cov.Coverage;
@@ -73,17 +71,22 @@ Cell measureCell(const PreparedBenchmark &B, FunctionAnalysisManager &FAM,
   return C;
 }
 
-BenchRow measureBenchmark(const BenchmarkSpec &Spec) {
+/// Depth 1 is the shared table's pp/tpp/ppp; deeper chains run here.
+BenchRow measureBenchmark(const SuiteResult &R) {
   BenchRow Row;
-  Row.Name = Spec.Name;
-  PreparedBenchmark B = prepare(Spec);
+  Row.Name = R.Spec.Name;
+  Row.Cells[0][Pp] = cellOf(R.Pp);
+  Row.Cells[0][Tpp] = cellOf(R.Tpp);
+  Row.Cells[0][Ppp] = cellOf(R.Ppp);
+  const PreparedBenchmark &B = *R.Prepared;
   FunctionAnalysisManager FAM(B.Expanded, &B.EP);
-  for (size_t D = 0; D < NumDepths; ++D) {
-    Row.Cells[D][Pp] = measureCell(B, FAM, ProfilerOptions::pp(), Depths[D]);
-    Row.Cells[D][Tpp] =
-        measureCell(B, FAM, ProfilerOptions::tpp(), Depths[D]);
-    Row.Cells[D][Ppp] =
-        measureCell(B, FAM, ProfilerOptions::ppp(), Depths[D]);
+  for (size_t D = 1; D < NumDepths; ++D) {
+    size_t P = 0;
+    for (const ProfilerOptions &Base :
+         {ProfilerOptions::pp(), ProfilerOptions::tpp(),
+          ProfilerOptions::ppp()})
+      Row.Cells[D][P++] =
+          cellOf(runProfiler(B, atKIterations(Base, Depths[D]), &FAM));
   }
   return Row;
 }
@@ -156,9 +159,7 @@ void printProfileTable(const std::vector<BenchRow> &Rows, size_t D) {
 } // namespace
 
 int ppp::bench::runKiterBlowup() {
-  std::vector<BenchRow> Rows = runSuiteParallel(
-      spec2000Suite(),
-      [](const BenchmarkSpec &Spec) { return measureBenchmark(Spec); });
+  std::vector<BenchRow> Rows = runOverSuite(measureBenchmark);
 
   printf("k-iteration blowup: paths enumerated / lost fraction / "
          "overhead, PP vs PPP at k = 1, 2, 4\n");

@@ -12,8 +12,6 @@
 
 #include "Experiments.h"
 
-#include "Harness.h"
-
 #include <cstdio>
 
 using namespace ppp;
@@ -27,39 +25,37 @@ int ppp::bench::runMetricComparison() {
     std::string Name;
     double Vals[4] = {0, 0, 0, 0};
   };
-  std::vector<Row> Rows =
-      runSuiteParallel(spec2000Suite(), [](const BenchmarkSpec &Spec) {
-        PreparedBenchmark B = prepare(Spec);
+  std::vector<Row> Rows = runOverSuite([](const SuiteResult &R) {
+    const PreparedBenchmark &B = *R.Prepared;
 
-        // Edge profiling: potential-flow estimates, each cut under the
-        // metric it will be judged by.
-        auto EdgeEstimate = [&](FlowMetric Metric) {
-          uint64_t Cut = static_cast<uint64_t>(
-              DefaultHotFraction *
-              static_cast<double>(B.Oracle.totalFlow(Metric)) / 2.0);
-          return estimateFromEdgeProfile(B.Expanded, B.EP,
-                                         FlowKind::Potential, Cut, Metric);
-        };
-        PathProfile EdgeEstU = EdgeEstimate(FlowMetric::Unit);
-        PathProfile EdgeEst = EdgeEstimate(FlowMetric::Branch);
-        double EdgeUnit =
-            computeAccuracy(B.Oracle, EdgeEstU, FlowMetric::Unit).Accuracy;
-        double EdgeBranch =
-            computeAccuracy(B.Oracle, EdgeEst, FlowMetric::Branch).Accuracy;
+    // Edge profiling: potential-flow estimates, each cut under the
+    // metric it will be judged by. Its branch-flow accuracy is the
+    // shared table's.
+    auto EdgeEstimate = [&](FlowMetric Metric) {
+      uint64_t Cut = static_cast<uint64_t>(
+          DefaultHotFraction *
+          static_cast<double>(B.Oracle.totalFlow(Metric)) / 2.0);
+      return estimateFromEdgeProfile(B.Expanded, B.EP, FlowKind::Potential,
+                                     Cut, Metric);
+    };
+    double EdgeUnit = computeAccuracy(B.Oracle, EdgeEstimate(FlowMetric::Unit),
+                                      FlowMetric::Unit)
+                          .Accuracy;
 
-        // PPP, same estimated profile under both metrics.
-        ProfilerOutcome Ppp = runProfiler(B, ProfilerOptions::ppp());
-        const PathProfile &Est = Ppp.AnyInstrumented ? Ppp.Run.Estimated
-                                                     : EdgeEst;
-        double PppUnit =
-            computeAccuracy(B.Oracle, Est, FlowMetric::Unit).Accuracy;
-        double PppBranch =
-            computeAccuracy(B.Oracle, Est, FlowMetric::Branch).Accuracy;
+    // PPP, same estimated profile under both metrics: runProfiler judges
+    // a run with no instrumentation on the branch-flow edge estimate.
+    PathProfile EdgeEst;
+    if (!R.Ppp.AnyInstrumented)
+      EdgeEst = EdgeEstimate(FlowMetric::Branch);
+    const PathProfile &Est =
+        R.Ppp.AnyInstrumented ? R.Ppp.Run.Estimated : EdgeEst;
+    double PppUnit =
+        computeAccuracy(B.Oracle, Est, FlowMetric::Unit).Accuracy;
 
-        return Row{B.Name,
-                   {100 * EdgeUnit, 100 * EdgeBranch, 100 * PppUnit,
-                    100 * PppBranch}};
-      });
+    return Row{R.Spec.Name,
+               {100 * EdgeUnit, 100 * R.Edge.Acc.Accuracy, 100 * PppUnit,
+                100 * R.Ppp.Acc.Accuracy}};
+  });
 
   double Sum[4] = {0, 0, 0, 0};
   int N = 0;

@@ -14,8 +14,6 @@
 
 #include "Experiments.h"
 
-#include "Harness.h"
-
 #include "interp/Interpreter.h"
 #include "profile/Net.h"
 
@@ -84,29 +82,25 @@ int ppp::bench::runNetVsPpp() {
     std::string Name;
     double Vals[4] = {0, 0, 0, 0};
   };
-  std::vector<Row> Rows =
-      runSuiteParallel(spec2000Suite(), [](const BenchmarkSpec &Spec) {
-        PreparedBenchmark B = prepare(Spec);
+  std::vector<Row> Rows = runOverSuite([](const SuiteResult &S) {
+    const PreparedBenchmark &B = *S.Prepared;
 
-        // Run NET as an observer over the expanded program.
-        NetSelector Net(B.Expanded);
-        Interpreter I(B.Expanded);
-        I.addObserver(&Net);
-        I.run();
-        size_t NetTraces = Net.selected().distinctPaths();
-        double NetCov =
-            hotFlowCovered(B.Oracle, Net.selected(), DefaultHotFraction);
+    // Run NET as an observer over the expanded program.
+    NetSelector Net(B.Expanded);
+    Interpreter I(B.Expanded);
+    I.addObserver(&Net);
+    I.run();
+    size_t NetTraces = Net.selected().distinctPaths();
+    double NetCov =
+        hotFlowCovered(B.Oracle, Net.selected(), DefaultHotFraction);
 
-        ProfilerOutcome Ppp = runProfiler(B, ProfilerOptions::ppp());
-        PathProfile PppTop = topK(Ppp.Run.Estimated, NetTraces);
-        double PppBudgeted =
-            hotFlowCovered(B.Oracle, PppTop, DefaultHotFraction);
+    PathProfile PppTop = topK(S.Ppp.Run.Estimated, NetTraces);
+    double PppBudgeted = hotFlowCovered(B.Oracle, PppTop, DefaultHotFraction);
 
-        return Row{B.Name,
-                   {100.0 * NetCov, 100.0 * PppBudgeted,
-                    100.0 * Ppp.Acc.Accuracy,
-                    static_cast<double>(NetTraces)}};
-      });
+    return Row{S.Spec.Name,
+               {100.0 * NetCov, 100.0 * PppBudgeted,
+                100.0 * S.Ppp.Acc.Accuracy, static_cast<double>(NetTraces)}};
+  });
 
   double Sum[3] = {0, 0, 0};
   int N = 0;

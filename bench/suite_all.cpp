@@ -5,7 +5,9 @@
 /// the preparation cache once per (benchmark x cost-model) cell on a
 /// shared worker pool, and then each experiment's run function executes
 /// against the in-memory cache, so the suite's wall clock is bound by
-/// step 5 (instrument + run + evaluate) only.
+/// step 5 (instrument + run + evaluate) only. The first experiment that
+/// reads the shared suite table (bench/Experiments.h) builds it, so
+/// each standard preset profiles each benchmark once per process.
 ///
 /// Output contract: stdout is the exact concatenation of each selected
 /// experiment's report; all framing (progress, timings, cache
@@ -47,8 +49,9 @@ double secondsSince(std::chrono::steady_clock::time_point T0) {
 /// utilization metrics) covers the warm phase like any other.
 void warmPreparations(bool NeedStandard, bool NeedAlpha) {
   if (!prepCacheEnabled()) {
-    fprintf(stderr, "[suite_all] PPP_CACHE=off: experiments prepare "
-                    "independently (no sharing)\n");
+    fprintf(stderr, "[suite_all] PPP_CACHE=off: the shared suite table "
+                    "prepares each benchmark once, other experiments "
+                    "prepare independently\n");
     return;
   }
   std::vector<BenchmarkSpec> Suite = spec2000Suite();

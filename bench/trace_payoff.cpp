@@ -12,8 +12,6 @@
 
 #include "Experiments.h"
 
-#include "Harness.h"
-
 #include "interp/Interpreter.h"
 #include "ir/Verifier.h"
 #include "opt/TraceFormation.h"
@@ -45,44 +43,42 @@ int ppp::bench::runTracePayoff() {
     std::string Error;
     double Vals[3] = {0, 0, 0};
   };
-  std::vector<Row> Rows =
-      runSuiteParallel(spec2000Suite(), [](const BenchmarkSpec &Spec) {
-        PreparedBenchmark B = prepare(Spec);
-        Row Res{B.Name, {}, {}};
+  std::vector<Row> Rows = runOverSuite([](const SuiteResult &S) {
+    const PreparedBenchmark &B = *S.Prepared;
+    Row Res{S.Spec.Name, {}, {}};
 
-        // (a) Edge-greedy traces.
-        Module EdgeOpt = B.Expanded;
-        formTracesFromEdgeProfile(EdgeOpt, B.EP);
+    // (a) Edge-greedy traces.
+    Module EdgeOpt = B.Expanded;
+    formTracesFromEdgeProfile(EdgeOpt, B.EP);
 
-        // (b) PPP-measured traces.
-        ProfilerOutcome Ppp = runProfiler(B, ProfilerOptions::ppp());
-        Module PppOpt = B.Expanded;
-        formTracesFromPathProfile(PppOpt, Ppp.Run.Estimated);
+    // (b) PPP-measured traces.
+    Module PppOpt = B.Expanded;
+    formTracesFromPathProfile(PppOpt, S.Ppp.Run.Estimated);
 
-        // (c) Oracle traces (perfect knowledge upper bound).
-        Module OracleOpt = B.Expanded;
-        formTracesFromPathProfile(OracleOpt, B.Oracle);
+    // (c) Oracle traces (perfect knowledge upper bound).
+    Module OracleOpt = B.Expanded;
+    formTracesFromPathProfile(OracleOpt, B.Oracle);
 
-        for (Module *Mod : {&EdgeOpt, &PppOpt, &OracleOpt}) {
-          if (std::string E = verifyModule(*Mod); !E.empty()) {
-            Res.Error = E;
-            return Res;
-          }
-          // Semantics must be untouched.
-          RunResult R = Interpreter(*Mod).run();
-          RunResult Base = Interpreter(B.Expanded).run();
-          if (R.ReturnValue != Base.ReturnValue ||
-              R.MemChecksum != Base.MemChecksum) {
-            Res.Error = "trace formation changed semantics";
-            return Res;
-          }
-        }
-
-        Res.Vals[0] = payoffPct(EdgeOpt, B.CostBase);
-        Res.Vals[1] = payoffPct(PppOpt, B.CostBase);
-        Res.Vals[2] = payoffPct(OracleOpt, B.CostBase);
+    RunResult Base = Interpreter(B.Expanded).run();
+    for (Module *Mod : {&EdgeOpt, &PppOpt, &OracleOpt}) {
+      if (std::string E = verifyModule(*Mod); !E.empty()) {
+        Res.Error = E;
         return Res;
-      });
+      }
+      // Semantics must be untouched.
+      RunResult R = Interpreter(*Mod).run();
+      if (R.ReturnValue != Base.ReturnValue ||
+          R.MemChecksum != Base.MemChecksum) {
+        Res.Error = "trace formation changed semantics";
+        return Res;
+      }
+    }
+
+    Res.Vals[0] = payoffPct(EdgeOpt, B.CostBase);
+    Res.Vals[1] = payoffPct(PppOpt, B.CostBase);
+    Res.Vals[2] = payoffPct(OracleOpt, B.CostBase);
+    return Res;
+  });
 
   double Sum[3] = {0, 0, 0};
   int N = 0;

@@ -321,10 +321,10 @@ InstrumentationResult::blockFreqs(const EdgeProfile &CleanEP) const {
   return Out;
 }
 
-CountsMessage ppp::countsFromRun(const std::string &Benchmark,
-                                 const InstrumentationResult &IR,
-                                 const ProfileRuntime &RT,
-                                 const EdgeProfile *EP) {
+CountsMessage
+ppp::countsFromRun(const std::string &Benchmark,
+                   [[maybe_unused]] const InstrumentationResult &IR,
+                   const ProfileRuntime &RT, const EdgeProfile *EP) {
   assert(IR.Plans.size() == RT.numFunctions() &&
          "runtime was not built from this instrumentation result");
   CountsMessage M;

@@ -10,12 +10,17 @@ cd "$REPO_ROOT"
 cmake -B build -S .
 cmake --build build -j
 cd build
+# On ctest 3.25.1 a bare -j takes no default job count, so this runs one
+# test at a time (`ctest -j -R x` even swallows -R and ignores the
+# filter). On 4 vCPUs it takes 72 s, the sum of the test times, against
+# 57 s for `ctest -j4`; PROCESSORS and RUN_SERIAL in
+# tests/CMakeLists.txt only matter under an explicit -jN.
 ctest --output-on-failure -j
 
 # The unfiltered ctest above already ran every smoke script once as a
-# registered test (experiments_golden, the perfbench contracts, and the
-# obs, served, trace/timing, fuzz, adapt and kiter smokes), so there is
-# no second pass here.
+# registered test (experiments_golden, which also checks the telemetry
+# sinks, the perfbench contracts, and the served, trace/timing, fuzz,
+# adapt and kiter smokes), so there is no second pass here.
 cd "$REPO_ROOT"
 
 # Optional sanitizer stage: PPP_TIER1_SANITIZE=address (or undefined,
