@@ -107,10 +107,12 @@ template <typename T> inline void sink(T &V) {
 /// S.N.
 void publish(const std::string &Key, const Spread &S);
 
-/// Parses a bench's only flag, `--json[=PATH]`: returns whether the
-/// report is wanted, with \p Path (the default on entry) updated. Any
-/// other argument prints usage and exits 2.
-bool jsonFlag(int Argc, char **Argv, std::string &Path);
+/// Parses a bench's flags, `--json[=PATH]` and, when \p Reps is given,
+/// `--reps=N` (N >= 1): returns whether the report is wanted, with
+/// \p Path and \p *Reps (the defaults on entry) updated. Any other
+/// argument prints usage and exits 2.
+bool jsonFlag(int Argc, char **Argv, std::string &Path,
+              unsigned *Reps = nullptr);
 
 /// Writes the metrics registry's keys under \p Prefix to \p Path in the
 /// ppp-metrics-v1 schema and prints "wrote PATH"; exits 1 on failure.

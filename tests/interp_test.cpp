@@ -8,6 +8,11 @@
 
 #include "gtest/gtest.h"
 
+#include <algorithm>
+#include <string>
+#include <tuple>
+#include <vector>
+
 using namespace ppp;
 
 namespace {
@@ -30,6 +35,61 @@ template <typename BuildFn> int64_t evalMain(BuildFn Build) {
 
 RegId binOp(IRBuilder &B, Opcode Op, int64_t L, int64_t R) {
   return B.emitBinary(Op, B.emitConst(L), B.emitConst(R));
+}
+
+class NullObserver : public ExecObserver {};
+
+class NullHook : public EpochHook {
+public:
+  void onEpoch(uint64_t, uint64_t) override {}
+};
+
+/// Runs \p M once on each of the six ExecMode rows, in enum order. The
+/// Profiled and Adaptive rows count into one-slot array tables, the
+/// Adaptive row calls \p Hook (a NullHook if null) at every Call, and
+/// trace bytes are priced at zero, so every row's Cost is comparable.
+std::vector<RunResult> runOnEveryRow(const Module &M, InterpOptions O,
+                                     EpochHook *Hook = nullptr) {
+  O.Costs.TraceByte = 0;
+  O.Costs.TraceStampByte = 0;
+  ProfileRuntime RT(M.numFunctions());
+  for (unsigned F = 0; F < M.numFunctions(); ++F)
+    RT.setTable(static_cast<FuncId>(F), PathTable::makeArray(1));
+  NullObserver Obs;
+  NullHook Null;
+  std::vector<RunResult> Rs;
+  Rs.push_back(Interpreter(M, O).run());
+  {
+    Interpreter I(M, O);
+    I.addObserver(&Obs);
+    Rs.push_back(I.run());
+  }
+  {
+    Interpreter I(M, O);
+    I.setProfileRuntime(&RT);
+    Rs.push_back(I.run());
+  }
+  for (bool Timed : {false, true}) {
+    trace::TraceRecorder Rec(trace::DefaultTraceChunkBytes, Timed);
+    Interpreter I(M, O);
+    I.setTraceRecorder(&Rec);
+    Rs.push_back(I.run());
+  }
+  {
+    Interpreter I(M, O);
+    I.setProfileRuntime(&RT);
+    I.setEpochHook(Hook ? Hook : &Null, 1);
+    Rs.push_back(I.run());
+  }
+  return Rs;
+}
+
+void expectSameResult(const RunResult &Got, const RunResult &Want) {
+  EXPECT_EQ(Got.ReturnValue, Want.ReturnValue);
+  EXPECT_EQ(Got.DynInstrs, Want.DynInstrs);
+  EXPECT_EQ(Got.Cost, Want.Cost);
+  EXPECT_EQ(Got.MemChecksum, Want.MemChecksum);
+  EXPECT_EQ(Got.FuelExhausted, Want.FuelExhausted);
 }
 
 TEST(Interp, Arithmetic) {
@@ -289,6 +349,204 @@ TEST(Interp, FuelExhaustionOnInfiniteLoop) {
   EXPECT_EQ(R.DynInstrs, 1000u);
 }
 
+TEST(Interp, FuelExhaustionIsExactInsideSegments) {
+  // The loop charges fuel and cost once per straight-line segment; a
+  // run whose fuel ends inside a segment must still stop after exactly
+  // Fuel instructions with the per-instruction cost of that prefix.
+  Module M;
+  IRBuilder B(M);
+  FuncId Leaf = B.beginFunction("leaf", 1);
+  RegId T = B.emitAddImm(0, 5);
+  RegId U = B.emitBinary(Opcode::Mul, T, T); // Both operands forwarded.
+  B.emitRet(U);
+  B.endFunction();
+  FuncId MainId = B.beginFunction("main", 0);
+  RegId A = B.emitConst(3);
+  RegId Four = B.emitConst(4);
+  RegId C = B.emitBinary(Opcode::Add, A, Four);
+  RegId D = B.emitBinary(Opcode::Mul, C, C);
+  RegId E = B.emitBinary(Opcode::Sub, D, A);
+  RegId F = B.emitBinary(Opcode::Shl, E, A);
+  RegId G = B.emitBinary(Opcode::DivU, F, Four);
+  B.emitStore(A, G);
+  RegId H = B.emitCall(Leaf, {G}); // Mid-block: a segment ends here.
+  RegId I = B.emitBinary(Opcode::Add, H, A);
+  RegId J = B.emitBinary(Opcode::Xor, I, A);
+  RegId K = B.emitConst(0);
+  BlockId Header = B.newBlock(), Body = B.newBlock(), Left = B.newBlock(),
+          Right = B.newBlock(), Exit = B.newBlock();
+  B.emitBr(Header);
+  B.setInsertPoint(Header);
+  B.emitCondBr(B.emitBinary(Opcode::CmpLt, K, A), Body, Exit);
+  B.setInsertPoint(Body);
+  B.emitSwitch(B.emitBinary(Opcode::Add, K, J), {Left, Right});
+  for (BlockId Arm : {Left, Right}) {
+    B.setInsertPoint(Arm);
+    B.emitAddImm(K, 1, K);
+    B.emitBr(Header);
+  }
+  B.setInsertPoint(Exit);
+  B.emitRet(B.emitBinary(Opcode::Add, J, K));
+  B.endFunction();
+  M.MainId = MainId;
+  ASSERT_EQ(verifyModule(M), "");
+
+  // The executed instructions, in order.
+  using O = Opcode;
+  std::vector<Opcode> Seq = {O::Const, O::Const, O::Add,   O::Mul,
+                             O::Sub,   O::Shl,   O::DivU,  O::Store,
+                             O::Call,  O::AddImm, O::Mul,  O::Ret,
+                             O::Add,   O::Xor,   O::Const, O::Br};
+  for (int Iter = 0; Iter < 3; ++Iter)
+    Seq.insert(Seq.end(),
+               {O::CmpLt, O::CondBr, O::Add, O::Switch, O::AddImm, O::Br});
+  Seq.insert(Seq.end(), {O::CmpLt, O::CondBr, O::Add, O::Ret});
+  const uint64_t N = Seq.size();
+  const size_t CallAt = 8;
+  ASSERT_EQ(Seq[CallAt], O::Call);
+  CostModel CM;
+  std::vector<uint64_t> Prefix = {0};
+  for (Opcode Op : Seq)
+    Prefix.push_back(Prefix.back() + CM.costOf(Op));
+
+  struct Sampler : EpochHook {
+    std::vector<std::pair<uint64_t, uint64_t>> Seen;
+    void onEpoch(uint64_t DynInstrs, uint64_t Cost) override {
+      Seen.push_back({DynInstrs, Cost});
+    }
+  };
+  for (uint64_t Fuel = 0; Fuel <= N + 1; ++Fuel) {
+    SCOPED_TRACE("Fuel = " + std::to_string(Fuel));
+    InterpOptions Opts;
+    Opts.Fuel = Fuel;
+    Sampler Hook;
+    std::vector<RunResult> Rs = runOnEveryRow(M, Opts, &Hook);
+    uint64_t Ran = std::min(Fuel, N);
+    EXPECT_EQ(Rs[0].DynInstrs, Ran);
+    EXPECT_EQ(Rs[0].FuelExhausted, Fuel < N);
+    EXPECT_EQ(Rs[0].Cost, Prefix[Ran]);
+    EXPECT_EQ(Rs[0].ReturnValue, Fuel < N ? 0 : 9418);
+    for (size_t Row = 1; Row < Rs.size(); ++Row) {
+      SCOPED_TRACE("row " + std::to_string(Row));
+      expectSameResult(Rs[Row], Rs[0]);
+    }
+    // The epoch hook at the Call sees the per-instruction totals.
+    if (Fuel > CallAt) {
+      ASSERT_EQ(Hook.Seen.size(), 1u);
+      EXPECT_EQ(Hook.Seen[0].first, CallAt + 1);
+      EXPECT_EQ(Hook.Seen[0].second, Prefix[CallAt + 1]);
+    } else {
+      EXPECT_TRUE(Hook.Seen.empty());
+    }
+  }
+}
+
+TEST(Interp, OperandForwardingBoundaries) {
+  // Operands read from the previous instruction's result (the loop's
+  // Last register) in every shape, and the places it must not be:
+  // after a profiling op, at a block start, after a Call.
+  Module M;
+  IRBuilder B(M);
+  FuncId Triple = B.beginFunction("triple", 1);
+  B.emitRet(B.emitMulImm(0, 3));
+  B.endFunction();
+  FuncId MainId = B.beginFunction("main", 0);
+  // Records the variant the decoder must give the instruction just
+  // emitted (bit 0: first operand forwarded, bit 1: second).
+  std::vector<std::tuple<BlockId, size_t, Opcode, unsigned>> Want;
+  auto Expect = [&](unsigned Variant) {
+    const BasicBlock &BB = M.function(MainId).Blocks[B.currentBlock()];
+    Want.emplace_back(B.currentBlock(), BB.Instrs.size() - 1,
+                      BB.Instrs.back().Op, Variant);
+  };
+  auto EmitPathOp = [&](Opcode Op, RegId StrayA) {
+    // A profiling op with a stray register in A: it writes the path
+    // register, never a value, so it must not be forwarded from.
+    Instr P;
+    P.Op = Op;
+    P.Imm = 7;
+    P.A = StrayA;
+    M.function(MainId).Blocks[B.currentBlock()].Instrs.push_back(P);
+  };
+  RegId A = B.emitConst(6);
+  RegId Sq = B.emitBinary(Opcode::Mul, A, A); // B == C == previous.
+  Expect(3);
+  RegId C = B.emitConst(10);
+  B.emitBinary(Opcode::Sub, C, A, C); // In place: A == B == previous.
+  Expect(1);
+  B.emitAddImm(C, 1, C);
+  Expect(1);
+  RegId V = B.emitConst(9);
+  B.emitStore(V, V); // Value and address from the previous result.
+  Expect(3);
+  RegId X = B.emitConst(1);
+  B.emitConst(100);
+  EmitPathOp(Opcode::ProfSet, X);
+  RegId Z = B.emitBinary(Opcode::Add, X, X);
+  Expect(0);
+  B.emitConst(100);
+  EmitPathOp(Opcode::ProfAdd, Z);
+  RegId Z2 = B.emitBinary(Opcode::Add, Z, Z);
+  Expect(0);
+  RegId P = B.emitConst(7);
+  RegId Q = B.emitCall(Triple, {P});
+  RegId R = B.emitBinary(Opcode::Add, Q, P); // First after the Call.
+  Expect(0);
+  RegId Less = B.emitBinary(Opcode::CmpLt, A, Sq);
+  BlockId Pre = B.newBlock(), Header = B.newBlock(), Done = B.newBlock(),
+          Bad = B.newBlock(), Sum = B.newBlock();
+  B.emitCondBr(Less, Pre, Bad);
+  Expect(1);
+  // The loop header's static predecessor writes S last, and the header
+  // reads S first: a block start, so no forwarding.
+  B.setInsertPoint(Pre);
+  RegId K = B.emitConst(0);
+  RegId Three = B.emitConst(3);
+  RegId S = B.emitConst(2);
+  B.emitBr(Header);
+  B.setInsertPoint(Header);
+  B.emitBinary(Opcode::Add, S, S, S);
+  Expect(0);
+  B.emitAddImm(K, 1, K);
+  B.emitCondBr(B.emitBinary(Opcode::CmpLt, K, Three), Header, Done);
+  Expect(1);
+  B.setInsertPoint(Done);
+  RegId W = B.emitConst(9);
+  RegId L = B.emitLoad(W);
+  Expect(1);
+  B.emitSwitch(B.emitConst(5), {Bad, Bad, Sum}); // 5 % 3 == 2.
+  Expect(1);
+  B.setInsertPoint(Bad);
+  B.emitRet(B.emitConst(-1));
+  B.setInsertPoint(Sum);
+  RegId T = B.emitBinary(Opcode::Add, Sq, C);
+  for (RegId Term : {Z, Z2, R, S, L})
+    B.emitBinary(Opcode::Add, T, Term, T);
+  B.emitRet(T);
+  Expect(1);
+  B.endFunction();
+  M.MainId = MainId;
+
+  DecodedFunction DF =
+      decodeFunction(M.function(MainId), CostModel(), /*HashedTable=*/false);
+  for (const auto &[Block, Index, Op, Variant] : Want) {
+    const DecodedInstr &D =
+        DF.Code[DF.BlockStart[static_cast<size_t>(Block)] + Index];
+    EXPECT_EQ(D.Op, Op);
+    EXPECT_EQ(D.Dispatch, DispatchBase[static_cast<uint8_t>(Op)] + Variant)
+        << opcodeName(Op) << " in block " << Block << " at " << Index;
+  }
+
+  // 36 + 5 + 2 + 4 + 21 + 7 + 16 + 9.
+  std::vector<RunResult> Rs = runOnEveryRow(M, InterpOptions());
+  EXPECT_EQ(Rs[0].ReturnValue, 100);
+  EXPECT_FALSE(Rs[0].FuelExhausted);
+  for (size_t Row = 1; Row < Rs.size(); ++Row) {
+    SCOPED_TRACE("row " + std::to_string(Row));
+    expectSameResult(Rs[Row], Rs[0]);
+  }
+}
+
 TEST(Interp, CostModelCharges) {
   Module M;
   IRBuilder B(M);
@@ -405,13 +663,6 @@ ProfileRuntime countingRuntime() {
   RT.setTable(0, PathTable::makeArray(1));
   return RT;
 }
-
-class NullObserver : public ExecObserver {};
-
-class NullHook : public EpochHook {
-public:
-  void onEpoch(uint64_t, uint64_t) override {}
-};
 
 TEST(InterpModeDeathTest, ObserversRejectRuntime) {
   Module M = countingModule();

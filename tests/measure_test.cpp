@@ -147,6 +147,21 @@ TEST(Measure, JsonFlag) {
   char *Unknown[] = {Prog, Bad};
   EXPECT_EXIT(jsonFlag(2, Unknown, Path), testing::ExitedWithCode(2),
               "usage: bench");
+
+  // --reps=N only where the bench takes it, and only N >= 1.
+  unsigned Reps = 40;
+  EXPECT_FALSE(jsonFlag(2, Unknown, Path, &Reps));
+  EXPECT_EQ(Reps, 3u);
+  char *Both[] = {Prog, Bad, Bare};
+  EXPECT_TRUE(jsonFlag(3, Both, Path, &Reps));
+  for (const char *Arg : {"--reps=0", "--reps=", "--reps=2x", "--reps=-1",
+                          "--reps=99999999999999999999"}) {
+    std::string Copy = Arg;
+    char *Invalid[] = {Prog, Copy.data()};
+    EXPECT_EXIT(jsonFlag(2, Invalid, Path, &Reps), testing::ExitedWithCode(2),
+                "usage: bench \\[--json\\[=PATH\\]\\] \\[--reps=N\\]")
+        << Arg;
+  }
 }
 
 TEST(Measure, SinkBuildsAtO3AndKeepsValues) {

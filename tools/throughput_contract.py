@@ -5,12 +5,13 @@ Usage, from the root of a checkout:
 
     python3 tools/throughput_contract.py BINARY JSON_OUT
 
-Runs `BINARY --json=JSON_OUT` (bench/interp_throughput). It must exit 0,
-which it does only when every trace decode equals the counter backend's
-counts, and JSON_OUT must carry every key that `tools/bench_diff.py
---gate throughput` matches in the committed BENCH_throughput.json, so
-the gate never silently loses a key. No value is compared: wall-clock
-rates drift between runs and hosts.
+Runs `BINARY --json=JSON_OUT --reps=REPS` (bench/interp_throughput). It
+must exit 0, which it does only when every trace decode equals the
+counter backend's counts, and JSON_OUT must carry every key that
+`tools/bench_diff.py --gate throughput` matches in the committed
+BENCH_throughput.json, so the gate never silently loses a key. No value
+is compared: wall-clock rates drift between runs and hosts, so a few
+reps prove the report's shape as well as the default 40 do.
 """
 
 import importlib.util
@@ -19,6 +20,7 @@ import subprocess
 import sys
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+REPS = 2
 
 
 def main():
@@ -31,7 +33,7 @@ def main():
     bench_diff = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(bench_diff)
 
-    rc = subprocess.run([binary, f"--json={out}"]).returncode
+    rc = subprocess.run([binary, f"--json={out}", f"--reps={REPS}"]).returncode
     if rc != 0:
         sys.exit(f"throughput_contract: {binary} exited {rc}")
 
