@@ -86,7 +86,7 @@ inline constexpr unsigned NumOpcodes =
     static_cast<unsigned>(Opcode::ProfChainRetConst) + 1;
 
 /// Returns true for opcodes that end a basic block.
-inline bool isTerminatorOpcode(Opcode Op) {
+constexpr bool isTerminatorOpcode(Opcode Op) {
   switch (Op) {
   case Opcode::Br:
   case Opcode::CondBr:
