@@ -2,8 +2,6 @@
 
 #include "Experiments.h"
 
-#include "PrepCache.h"
-
 #include "pass/AnalysisManager.h"
 
 using namespace ppp;
@@ -12,21 +10,21 @@ using namespace ppp::bench;
 namespace {
 
 const ExperimentInfo Table[] = {
-    {"table1_inlining", runTable1Inlining, true, false},
-    {"table2_hotpaths", runTable2Hotpaths, true, false},
-    {"fig9_accuracy", runFig9Accuracy, true, false},
-    {"fig10_coverage", runFig10Coverage, true, false},
-    {"fig11_instrumented", runFig11Instrumented, true, false},
-    {"fig12_overhead", runFig12Overhead, true, true},
-    {"fig13_ablation", runFig13Ablation, true, false},
-    {"fig13b_poisoning", runFig13bPoisoning, true, false},
-    {"fig13c_oneatatime", runFig13cOneAtATime, true, false},
-    {"trace_payoff", runTracePayoff, true, false},
-    {"edge_instrumentation", runEdgeInstrumentation, true, false},
-    {"kernels_overhead", runKernelsOverhead, false, false},
-    {"net_vs_ppp", runNetVsPpp, true, false},
-    {"metric_comparison", runMetricComparison, true, false},
-    {"kiter_blowup", runKiterBlowup, true, false},
+    {"table1_inlining", runTable1Inlining},
+    {"table2_hotpaths", runTable2Hotpaths},
+    {"fig9_accuracy", runFig9Accuracy},
+    {"fig10_coverage", runFig10Coverage},
+    {"fig11_instrumented", runFig11Instrumented},
+    {"fig12_overhead", runFig12Overhead},
+    {"fig13_ablation", runFig13Ablation},
+    {"fig13b_poisoning", runFig13bPoisoning},
+    {"fig13c_oneatatime", runFig13cOneAtATime},
+    {"trace_payoff", runTracePayoff},
+    {"edge_instrumentation", runEdgeInstrumentation},
+    {"kernels_overhead", runKernelsOverhead},
+    {"net_vs_ppp", runNetVsPpp},
+    {"metric_comparison", runMetricComparison},
+    {"kiter_blowup", runKiterBlowup},
 };
 
 } // namespace
@@ -45,10 +43,7 @@ const std::vector<SuiteResult> &ppp::bench::suiteResults() {
       runSuiteParallel(spec2000Suite(), [](const BenchmarkSpec &Spec) {
         SuiteResult R;
         R.Spec = Spec;
-        R.Prepared = prepareShared(Spec, CostModel());
-        if (!R.Prepared)
-          R.Prepared =
-              std::make_shared<const PreparedBenchmark>(prepareUncached(Spec));
+        R.Prepared = std::make_shared<const PreparedBenchmark>(prepare(Spec));
         const PreparedBenchmark &B = *R.Prepared;
         R.Edge = evaluateEdgeProfiling(B);
         FunctionAnalysisManager FAM(B.Expanded, &B.EP);

@@ -6,7 +6,7 @@
 /// exposes its whole program as one `run*()` function, registered once
 /// in the experiments() table (bench/Experiments.cpp, library
 /// ppp_experiments). suite_all, the only entry point, runs any subset
-/// in one process, so the experiments share a single preparation cache
+/// in one process, so the experiments share prepare()'s per-process memo
 /// instead of each rebuilding every benchmark. An experiment takes no
 /// knob: a depth, preset or benchmark outside its fixed axes is one
 /// `ppp_cli run <bench> --profiler=<spec>` away.
@@ -87,8 +87,6 @@ int runKiterBlowup();
 struct ExperimentInfo {
   const char *Name;      ///< suite_all's argument for this row.
   int (*Run)();
-  bool UsesPrepare;      ///< Runs the steps 1-4 pipeline on the suite.
-  bool UsesAlphaCosts;   ///< Also prepares under CostModel::alpha21164().
 };
 
 /// Every registered experiment, in the paper's order: tables, figures,

@@ -2,8 +2,6 @@
 
 #include "Harness.h"
 
-#include "PrepCache.h"
-
 #include "obs/Obs.h"
 #include "pass/AnalysisManager.h"
 #include "pass/Pipeline.h"
@@ -69,14 +67,6 @@ unsigned ppp::bench::parallelJobs(size_t NumTasks) {
     Jobs = std::max(1u, std::thread::hardware_concurrency());
   return static_cast<unsigned>(
       std::min<size_t>(Jobs, std::max<size_t>(NumTasks, 1)));
-}
-
-PreparedBenchmark ppp::bench::prepare(const BenchmarkSpec &Spec,
-                                      const CostModel &Costs) {
-  if (std::shared_ptr<const PreparedBenchmark> B =
-          prepareShared(Spec, Costs))
-    return *B;
-  return prepareUncached(Spec, Costs);
 }
 
 PreparedBenchmark ppp::bench::prepareUncached(const BenchmarkSpec &Spec,

@@ -23,6 +23,7 @@
 #include "obs/Trace.h"
 #include "opt/Inliner.h"
 #include "opt/Unroller.h"
+#include "pass/Pipeline.h"
 #include "pathprof/EstimatedProfile.h"
 #include "workload/Suite.h"
 
@@ -79,20 +80,44 @@ struct PreparedBenchmark {
 /// (default: the standard model). Steps 2-4 run as a pass pipeline
 /// (pass/Pipeline.h): the default spec mirrors the sequence above, and
 /// PPP_PIPELINE substitutes a different preparation recipe without
-/// recompiling (the cache keys on the spec, so variants never collide).
+/// recompiling.
 ///
-/// Cache-aware: consults the preparation cache (bench/PrepCache.h) --
-/// in-memory first, then the on-disk cache under PPP_CACHE_DIR -- and
-/// only computes on a miss, storing the result for the next caller.
-/// PPP_CACHE=off forces a fresh computation every time.
+/// Memoized per process (bench/PrepCache.cpp): the first call for a
+/// prepCacheKeyString() key computes it with prepareUncached(), callers
+/// of the same key meanwhile wait for that one computation, and every
+/// call returns a copy of the stored result. Nothing outlives the
+/// process, so a code change is never served what older code computed.
 PreparedBenchmark prepare(const BenchmarkSpec &Spec,
                           const CostModel &Costs = CostModel());
 
-/// Steps 1-4 with no cache involvement (the pre-cache prepare()). The
-/// cache calls this on a miss; tests use it as the ground truth that
-/// cached results must equal.
+/// Steps 1-4 computed afresh on every call. prepare() calls it once
+/// per key; tests use it as the ground truth prepare() must equal.
 PreparedBenchmark prepareUncached(const BenchmarkSpec &Spec,
                                   const CostModel &Costs = CostModel());
+
+/// Provenance of trace recordings: ppp_timing stamps it into every
+/// recording it writes and refuses to decode one stamped with another
+/// value. A recording replays one run of the prepared module, so bump
+/// this whenever the semantics of steps 1-4 change (the generator,
+/// calibrator, inliner, unroller, interpreter costs, or
+/// prepareUncached() itself).
+///
+/// Version history: 1 = hard-coded prepare() sequence; 2 = spec-driven
+/// pass pipeline; 3 = CostModel grew TraceByte; 4 = CostModel grew
+/// TraceStampByte (timing-annotated tracing); 5 = CostModel grew
+/// ProfChainStep (k-iteration path profiling); 6 = prepared benchmarks
+/// carry the original code's dynamic instruction count.
+inline constexpr uint32_t PrepPipelineVersion = 6;
+
+/// prepare()'s memo key for (\p Spec, \p Costs) prepared under
+/// \p PipelineSpec (default: the active preparation pipeline, so
+/// PPP_PIPELINE variants get distinct entries): the benchmark name,
+/// every workload-generator field, the pipeline flags, the pipeline
+/// spec and every cost-model weight. Exposed so tests can pin that
+/// each of them changes the key.
+std::string
+prepCacheKeyString(const BenchmarkSpec &Spec, const CostModel &Costs,
+                   const std::string &PipelineSpec = activePreparePipelineSpec());
 
 /// Everything one profiler produced on one benchmark.
 struct ProfilerOutcome {

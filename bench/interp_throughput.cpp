@@ -33,18 +33,17 @@
 /// trace decode's 20 and the suite preparation's 4 are capped at N): a
 /// small N checks the report's shape in seconds, not its numbers.
 ///
-/// `--json[=PATH]` additionally measures the full-suite preparation
-/// pipeline cold (every rep computing into a fresh cache directory) vs
-/// warm (loading every benchmark back from disk), and writes the whole
-/// report to PATH (default BENCH_throughput.json): the obs registry's
-/// `throughput.` keys in the "ppp-metrics-v1" schema, which
-/// tools/bench_diff.py --gate throughput compares.
+/// `--json[=PATH]` additionally times the full-suite preparation
+/// pipeline (prepareUncached() over the suite on parallelJobs()
+/// workers), and writes the whole report to PATH (default
+/// BENCH_throughput.json): the obs registry's `throughput.` keys in the
+/// "ppp-metrics-v1" schema, which tools/bench_diff.py --gate throughput
+/// compares.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "Harness.h"
 #include "Measure.h"
-#include "PrepCache.h"
 
 #include "interp/Interpreter.h"
 #include "interp/PathTable.h"
@@ -58,10 +57,8 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <filesystem>
 #include <optional>
 #include <string>
-#include <unistd.h>
 #include <vector>
 
 using namespace ppp;
@@ -375,47 +372,22 @@ void measureCounterOps() {
 }
 
 /// Measures and reports the suite prepare pipeline (steps 1-4 for every
-/// benchmark) cold vs warm in private throwaway cache directories,
-/// leaving the process-wide cache state the way it was found. Every
-/// cold rep computes (and serializes and stores) into a fresh
-/// directory; every warm rep reads one populated directory back from
-/// disk, its memory layer dropped first.
+/// benchmark, prepareUncached() on parallelJobs() workers). The key
+/// keeps its historical `cold_sec` name: every rep computes afresh.
 void measureSuitePrepare() {
   constexpr unsigned PrepWarmup = 1;
   std::vector<BenchmarkSpec> Suite = spec2000Suite();
-
-  std::error_code Ec;
-  std::filesystem::path Root =
-      std::filesystem::temp_directory_path(Ec) /
-      ("ppp-throughput-cache-" + std::to_string(::getpid()));
-  std::filesystem::remove_all(Root, Ec);
-  auto PrepareIn = [&](const std::string &Dir) {
-    prepCacheOverride(Dir, true);
-    prepCacheClearMemory();
+  auto PrepareSuite = [&] {
     runSuiteParallel(Suite, [](const BenchmarkSpec &Spec) {
-      return prepareShared(Spec, CostModel()) != nullptr;
+      return prepareUncached(Spec).DynInstrs;
     });
   };
-  std::string WarmDir = (Root / "warm").string();
-  PrepareIn(WarmDir);
-  unsigned ColdRuns = 0;
-  auto Cold = [&] {
-    PrepareIn((Root / ("cold" + std::to_string(ColdRuns++))).string());
-  };
-  Samples S =
-      measure({Cold, [&] { PrepareIn(WarmDir); }}, PrepWarmup, PrepReps);
-  prepCacheOverride("", true);
-  prepCacheClearMemory();
-  std::filesystem::remove_all(Root, Ec);
+  Samples S = measure({PrepareSuite}, PrepWarmup, PrepReps);
 
-  printf("\nSuite preparation (steps 1-4, all %zu benchmarks): cold "
-         "%.2fs, warm %.3fs (%.1fx)\n",
-         Suite.size(), S.time(0).Median, S.time(1).Median,
-         S.ratio(0, 1).Median);
+  printf("\nSuite preparation (steps 1-4, all %zu benchmarks): %.2fs\n",
+         Suite.size(), S.time(0).Median);
   obs::gauge("throughput.suite_prepare.benchmarks").set(Suite.size());
   publish("throughput.suite_prepare.cold_sec", S.time(0));
-  publish("throughput.suite_prepare.warm_sec", S.time(1));
-  publish("throughput.suite_prepare.speedup", S.ratio(0, 1));
 }
 
 /// Publishes the per-benchmark rows into the obs registry under

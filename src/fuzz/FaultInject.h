@@ -2,8 +2,8 @@
 ///
 /// \file
 /// Fault injection for the framed binary formats (profile/BinaryIO and
-/// bench/PrepCache share the same 24-byte frame: u32 magic, u32
-/// version, u64 payload size, u64 FNV-1a payload checksum, payload).
+/// trace/TraceIO share the same 24-byte frame: u32 magic, u32 version,
+/// u64 payload size, u64 FNV-1a payload checksum, payload).
 ///
 /// Three mutation families:
 ///  - truncation at an arbitrary byte offset (mid-header included);

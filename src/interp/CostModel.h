@@ -82,9 +82,9 @@ struct CostModel {
   }
 
   /// Order-sensitive FNV-1a fingerprint of every weight. Stamped into
-  /// serialized artifacts (trace recordings; the prep cache hashes the
-  /// fields itself) so a consumer can reject a model mismatch up front
-  /// instead of diagnosing the divergence it causes downstream.
+  /// serialized artifacts (trace recordings) so a consumer can reject a
+  /// model mismatch up front instead of diagnosing the divergence it
+  /// causes downstream.
   uint64_t key() const {
     uint64_t H = 1469598103934665603ULL;
     for (uint32_t V : {Simple, Mul, Div, Mem, CallOverhead, RetOverhead,

@@ -34,7 +34,7 @@ struct InlineStats {
   int64_t DynCallsInlined = 0; ///< Dynamic calls removed (profile).
   int64_t DynCallsTotal = 0;   ///< All dynamic calls (profile).
   /// Callers that received at least one inlined body -- the functions a
-  /// pass manager must invalidate. Not persisted by the prep cache.
+  /// pass manager must invalidate.
   std::set<FuncId> ModifiedFunctions;
 
   double dynFractionInlined() const {

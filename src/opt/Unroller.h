@@ -44,7 +44,7 @@ struct UnrollStats {
   int64_t WeightTotal = 0;
 
   /// Functions with at least one unrolled loop -- the functions a pass
-  /// manager must invalidate. Not persisted by the prep cache.
+  /// manager must invalidate.
   std::set<FuncId> ModifiedFunctions;
 };
 

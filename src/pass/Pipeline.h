@@ -12,8 +12,8 @@
 ///
 ///  The default preparation pipeline (Harness steps 2-4) is
 ///  DefaultPreparePipelineSpec; PPP_PIPELINE overrides it, which is how
-///  pipeline ablations run without recompiling. The spec also joins the
-///  preparation-cache key, so differently-prepared artifacts never
+///  pipeline ablations run without recompiling. The spec also joins
+///  prepare()'s memo key, so differently-prepared benchmarks never
 ///  collide.
 ///
 ///  Profiler specs -- a preset plus technique toggles, replacing the

@@ -17,10 +17,12 @@ constexpr uint32_t ModuleMagic = 0x4d505062;      // 'bPPM'
 constexpr uint32_t EdgeProfileMagic = 0x45505062; // 'bPPE'
 constexpr uint32_t PathProfileMagic = 0x50505062; // 'bPPP'
 
-} // namespace
-
-bool ppp::unframe(uint32_t Magic, const char *What, const std::string &Data,
-                  BinReader &Payload, std::string &Error) {
+/// Verifies one whole frameMessage() blob in \p Data (magic \p Magic,
+/// this build's format version, exact size, checksum) and points
+/// \p Payload at its payload inside \p Data. On failure sets \p Error,
+/// prefixed with \p What, and returns false.
+bool unframe(uint32_t Magic, const char *What, const std::string &Data,
+             BinReader &Payload, std::string &Error) {
   BinReader R(Data);
   uint32_t M = R.u32();
   uint32_t V = R.u32();
@@ -49,6 +51,8 @@ bool ppp::unframe(uint32_t Magic, const char *What, const std::string &Data,
   Payload = BinReader(Body, static_cast<size_t>(Size));
   return true;
 }
+
+} // namespace
 
 std::string ppp::frameMessage(uint32_t Magic, const std::string &Payload) {
   std::string Out;

@@ -2,9 +2,8 @@
 ///
 /// \file
 /// Versioned, checksummed, endian-stable binary serialization for
-/// modules and for edge/path profiles -- the persistence layer behind
-/// the prepare-once experiment pipeline (bench/PrepCache), which makes
-/// cross-process reuse cheap and safe.
+/// modules and for edge/path profiles, and the frame every persisted
+/// blob and streamed message shares.
 ///
 /// Every blob is framed the same way:
 ///
@@ -29,7 +28,6 @@
 #include "ir/Module.h"
 #include "profile/EdgeProfile.h"
 #include "profile/PathProfile.h"
-#include "support/BinStream.h"
 
 #include <cstdint>
 #include <string>
@@ -37,8 +35,9 @@
 
 namespace ppp {
 
-/// Bump on any change to the binary encodings below. Cache keys include
-/// this, so a bump invalidates every persisted artifact at once.
+/// Bump on any change to the binary encodings below. Every frame
+/// carries it and readers reject any other value, so a bump invalidates
+/// every persisted artifact at once.
 inline constexpr uint32_t BinaryFormatVersion = 1;
 
 /// Wraps \p Payload in the common frame (magic, version, payload size,
@@ -46,13 +45,6 @@ inline constexpr uint32_t BinaryFormatVersion = 1;
 /// message uses this one framing, so FrameReader below can carry any of
 /// them.
 std::string frameMessage(uint32_t Magic, const std::string &Payload);
-
-/// Verifies one whole frameMessage() blob in \p Data (magic \p Magic,
-/// this build's format version, exact size, checksum) and points
-/// \p Payload at its payload inside \p Data. On failure sets \p Error,
-/// prefixed with \p What, and returns false.
-bool unframe(uint32_t Magic, const char *What, const std::string &Data,
-             BinReader &Payload, std::string &Error);
 
 /// Incremental decoder for a byte stream of frames, built for transports
 /// that deliver data in arbitrary pieces (socket reads, pipes). Feed

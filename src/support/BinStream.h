@@ -2,7 +2,7 @@
 ///
 /// \file
 /// Minimal little-endian byte stream writer/reader used by the binary
-/// serialization formats (profile/BinaryIO, bench/PrepCache). Values
+/// serialization formats (profile/BinaryIO, trace/TraceIO). Values
 /// are encoded byte-by-byte, so the encoding is identical on any host
 /// regardless of its native endianness or struct layout.
 ///

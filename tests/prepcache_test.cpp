@@ -1,25 +1,29 @@
-//===- tests/prepcache_test.cpp - Preparation cache tests ---------------------===//
+//===- tests/prepcache_test.cpp - prepare()'s per-process memo --------------===//
 ///
-/// Pins the contract of bench/PrepCache: a cached prepare() result is
-/// indistinguishable from an uncached one, every key field participates
-/// in invalidation, and damaged entries are rebuilt rather than served.
+/// Pins the contract of the preparation memo (bench/PrepCache.cpp): a
+/// prepare() result is indistinguishable from prepareUncached(), each
+/// key is computed once per process (concurrent first callers
+/// included), and every input of the preparation changes the key.
 
 #include "TestUtil.h"
 
 #include "Harness.h"
-#include "PrepCache.h"
 
-#include <cstdio>
-#include <filesystem>
+#include "obs/Obs.h"
+
+#include <latch>
 #include <string>
-#include <unistd.h>
+#include <thread>
+#include <vector>
 
 using namespace ppp;
 using namespace ppp::bench;
 
 namespace {
 
-/// A tiny, fast spec (one prepare() takes a few milliseconds).
+/// A tiny, fast spec (one prepare() takes a few milliseconds). The
+/// memo lives as long as the process, so every test that counts memo
+/// hits and misses prepares its own seed.
 BenchmarkSpec tinySpec(uint64_t Seed = 4242) {
   BenchmarkSpec Spec;
   Spec.Name = "cachetest";
@@ -37,41 +41,15 @@ BenchmarkSpec tinySpec(uint64_t Seed = 4242) {
   return Spec;
 }
 
-/// RAII: point the cache at a fresh private directory, restore the
-/// environment-driven configuration (and drop the memory layer) after.
-class ScopedCacheDir {
-public:
-  ScopedCacheDir() {
-    std::error_code Ec;
-    Dir = (std::filesystem::temp_directory_path(Ec) /
-           ("ppp-cachetest-" + std::to_string(::getpid()) + "-" +
-            std::to_string(++Seq)))
-              .string();
-    std::filesystem::remove_all(Dir, Ec);
-    prepCacheOverride(Dir, true);
-    prepCacheClearMemory();
-    prepCacheResetCounters();
-  }
-  ~ScopedCacheDir() {
-    prepCacheOverride("", true);
-    prepCacheClearMemory();
-    std::error_code Ec;
-    std::filesystem::remove_all(Dir, Ec);
-  }
-  const std::string &dir() const { return Dir; }
-
-private:
-  std::string Dir;
-  static unsigned Seq;
-};
-unsigned ScopedCacheDir::Seq = 0;
-
 void expectEqualPrepared(const PreparedBenchmark &A,
                          const PreparedBenchmark &B) {
   EXPECT_EQ(A.Name, B.Name);
   EXPECT_EQ(A.IsFp, B.IsFp);
+  EXPECT_EQ(A.Costs.key(), B.Costs.key());
   EXPECT_TRUE(A.Original == B.Original);
   EXPECT_TRUE(A.Expanded == B.Expanded);
+  EXPECT_EQ(A.Inline.SitesInlined, B.Inline.SitesInlined);
+  EXPECT_EQ(A.Unroll.LoopsUnrolled, B.Unroll.LoopsUnrolled);
   EXPECT_TRUE(A.EPOrig == B.EPOrig);
   EXPECT_TRUE(A.EP == B.EP);
   EXPECT_EQ(A.CostOrig, B.CostOrig);
@@ -86,184 +64,123 @@ void expectEqualPrepared(const PreparedBenchmark &A,
   EXPECT_EQ(A.OracleOrig.distinctPaths(), B.OracleOrig.distinctPaths());
 }
 
-TEST(PrepCache, DiskRoundTripEqualsUncached) {
-  ScopedCacheDir Cache;
-  BenchmarkSpec Spec = tinySpec();
-  PreparedBenchmark Truth = prepareUncached(Spec);
+/// The memo's hit and miss counts so far.
+struct MemoCounts {
+  uint64_t Hits = obs::counter("cache.prep.hit.mem").value();
+  uint64_t Misses = obs::counter("cache.prep.miss").value();
+};
 
-  std::shared_ptr<const PreparedBenchmark> First =
-      prepareShared(Spec, CostModel());
-  ASSERT_NE(First, nullptr);
-  expectEqualPrepared(*First, Truth);
-  EXPECT_EQ(prepCacheCounters().Misses, 1u);
-
-  // Second call in-process: memory hit, same object.
-  std::shared_ptr<const PreparedBenchmark> Again =
-      prepareShared(Spec, CostModel());
-  EXPECT_EQ(Again.get(), First.get());
-  EXPECT_EQ(prepCacheCounters().MemHits, 1u);
-
-  // Drop the memory layer: the result now comes from disk and must
-  // still be indistinguishable from a fresh computation.
-  prepCacheClearMemory();
-  std::shared_ptr<const PreparedBenchmark> FromDisk =
-      prepareShared(Spec, CostModel());
-  ASSERT_NE(FromDisk, nullptr);
-  EXPECT_NE(FromDisk.get(), First.get());
-  expectEqualPrepared(*FromDisk, Truth);
-  PrepCacheCounters C = prepCacheCounters();
-  EXPECT_EQ(C.DiskHits, 1u);
-  EXPECT_EQ(C.Misses, 1u);
-  EXPECT_EQ(C.Corrupt, 0u);
+TEST(PrepCache, MemoEqualsUncached) {
+  BenchmarkSpec Spec = tinySpec(4242);
+  expectEqualPrepared(prepare(Spec), prepareUncached(Spec));
+  expectEqualPrepared(prepare(Spec, CostModel::alpha21164()),
+                      prepareUncached(Spec, CostModel::alpha21164()));
 }
 
-TEST(PrepCache, DisabledCacheReturnsNull) {
-  ScopedCacheDir Cache;
-  prepCacheOverride(Cache.dir(), false);
-  EXPECT_FALSE(prepCacheEnabled());
-  EXPECT_EQ(prepareShared(tinySpec(), CostModel()), nullptr);
-  // prepare() still works -- it falls back to the uncached pipeline.
-  PreparedBenchmark B = prepare(tinySpec());
-  EXPECT_EQ(B.Name, "cachetest");
-  prepCacheOverride(Cache.dir(), true);
+TEST(PrepCache, SecondCallIsOneMemoryHit) {
+  BenchmarkSpec Spec = tinySpec(4243);
+  MemoCounts Before;
+  PreparedBenchmark First = prepare(Spec);
+  MemoCounts AfterFirst;
+  EXPECT_EQ(AfterFirst.Misses - Before.Misses, 1u);
+  EXPECT_EQ(AfterFirst.Hits - Before.Hits, 0u);
+
+  PreparedBenchmark Again = prepare(Spec);
+  MemoCounts AfterAgain;
+  EXPECT_EQ(AfterAgain.Hits - AfterFirst.Hits, 1u);
+  EXPECT_EQ(AfterAgain.Misses - AfterFirst.Misses, 0u);
+  expectEqualPrepared(Again, First);
 }
 
-TEST(PrepCache, EveryKeyFieldInvalidates) {
+TEST(PrepCache, EveryInputChangesTheKey) {
   BenchmarkSpec Spec = tinySpec();
   CostModel Costs;
   std::string Base = prepCacheKeyString(Spec, Costs);
-
-  // Same inputs: same key (the whole point of content addressing).
   EXPECT_EQ(prepCacheKeyString(tinySpec(), CostModel()), Base);
 
-  // Seed change.
-  BenchmarkSpec Seeded = tinySpec(4243);
-  EXPECT_NE(prepCacheKeyString(Seeded, Costs), Base);
+  // Every BenchmarkSpec field, the generator's included.
+  std::vector<void (*)(BenchmarkSpec &)> SpecEdits = {
+      [](BenchmarkSpec &S) { S.Name += "x"; },
+      [](BenchmarkSpec &S) { S.IsFp = !S.IsFp; },
+      [](BenchmarkSpec &S) { S.AllowInlining = !S.AllowInlining; },
+      [](BenchmarkSpec &S) { S.TargetDynInstrs *= 2; },
+      [](BenchmarkSpec &S) { S.Params.Seed += 1; },
+      [](BenchmarkSpec &S) { S.Params.Name += "x"; },
+      [](BenchmarkSpec &S) { S.Params.MainLoopTrips += 1; },
+  };
+  for (unsigned WorkloadParams::*Knob :
+       {&WorkloadParams::NumFunctions, &WorkloadParams::LeafFunctions,
+        &WorkloadParams::LeafCallBiasPct, &WorkloadParams::TopStmtsMin,
+        &WorkloadParams::TopStmtsMax, &WorkloadParams::MaxDepth,
+        &WorkloadParams::IfPct, &WorkloadParams::LoopPct,
+        &WorkloadParams::SwitchPct, &WorkloadParams::CallPct,
+        &WorkloadParams::OpsMin, &WorkloadParams::OpsMax,
+        &WorkloadParams::MemOpPct, &WorkloadParams::SkewedIfPct,
+        &WorkloadParams::SkewMin, &WorkloadParams::SkewMax,
+        &WorkloadParams::TripMin, &WorkloadParams::TripMax,
+        &WorkloadParams::HotLoopPct, &WorkloadParams::HotTripMin,
+        &WorkloadParams::HotTripMax, &WorkloadParams::SwitchArmsMin,
+        &WorkloadParams::SwitchArmsMax}) {
+    BenchmarkSpec Edited = Spec;
+    Edited.Params.*Knob += 1;
+    EXPECT_NE(prepCacheKeyString(Edited, Costs), Base);
+  }
+  for (auto Edit : SpecEdits) {
+    BenchmarkSpec Edited = Spec;
+    Edit(Edited);
+    EXPECT_NE(prepCacheKeyString(Edited, Costs), Base);
+  }
 
-  // Any workload knob.
-  BenchmarkSpec Knob = tinySpec();
-  Knob.Params.LoopPct += 1;
-  EXPECT_NE(prepCacheKeyString(Knob, Costs), Base);
+  // Every cost-model weight (fig12's alpha model shares the memo).
+  constexpr uint32_t CostModel::*Weights[] = {
+      &CostModel::Simple,         &CostModel::Mul,
+      &CostModel::Div,            &CostModel::Mem,
+      &CostModel::CallOverhead,   &CostModel::RetOverhead,
+      &CostModel::Branch,         &CostModel::Multiway,
+      &CostModel::ProfReg,        &CostModel::ProfCountArray,
+      &CostModel::ProfCountHash,  &CostModel::PoisonCheck,
+      &CostModel::TraceByte,      &CostModel::TraceStampByte,
+      &CostModel::ProfChainStep};
+  static_assert(std::size(Weights) * sizeof(uint32_t) == sizeof(CostModel),
+                "a CostModel weight is missing from this list");
+  for (uint32_t CostModel::*W : Weights) {
+    CostModel Edited;
+    Edited.*W += 1;
+    EXPECT_NE(prepCacheKeyString(Spec, Edited), Base);
+  }
 
-  // Pipeline flags and calibration target.
-  BenchmarkSpec NoInline = tinySpec();
-  NoInline.AllowInlining = false;
-  EXPECT_NE(prepCacheKeyString(NoInline, Costs), Base);
-  BenchmarkSpec Bigger = tinySpec();
-  Bigger.TargetDynInstrs *= 2;
-  EXPECT_NE(prepCacheKeyString(Bigger, Costs), Base);
-
-  // Cost-model change (fig12's alpha sweep shares the cache dir).
-  CostModel Alpha;
-  Alpha.ProfCountHash += 1;
-  EXPECT_NE(prepCacheKeyString(Spec, Alpha), Base);
-
-  // Pipeline version bump invalidates everything at once.
-  EXPECT_NE(prepCacheKeyString(Spec, Costs, PrepPipelineVersion + 1), Base);
-
-  // The preparation pipeline spec participates: a PPP_PIPELINE variant
-  // addresses a distinct entry, and the default spec is what the
-  // zero-argument key uses.
-  EXPECT_NE(prepCacheKeyString(Spec, Costs, PrepPipelineVersion,
-                               "profile,unroll,profile<bench>"),
+  // The preparation pipeline spec: a PPP_PIPELINE variant gets its own
+  // entry, and the default argument is the active spec.
+  EXPECT_NE(prepCacheKeyString(Spec, Costs, "profile,unroll,profile<bench>"),
             Base);
-  EXPECT_EQ(prepCacheKeyString(Spec, Costs, PrepPipelineVersion,
-                               activePreparePipelineSpec()),
+  EXPECT_EQ(prepCacheKeyString(Spec, Costs, activePreparePipelineSpec()),
             Base);
-  // The spec is embedded verbatim, so the key text itself documents
-  // which recipe produced the entry.
-  EXPECT_NE(Base.find(activePreparePipelineSpec()), std::string::npos);
-
-  // Distinct keys mean distinct content addresses (files never alias).
-  EXPECT_NE(prepCacheKeyHash(Base),
-            prepCacheKeyHash(prepCacheKeyString(Seeded, Costs)));
 }
 
-TEST(PrepCache, KeyEchoTurnsCollisionsIntoMisses) {
-  ScopedCacheDir Cache;
-  BenchmarkSpec Spec = tinySpec();
-  PreparedBenchmark B = prepareUncached(Spec);
-  std::string Key = prepCacheKeyString(Spec, CostModel());
-  std::string Blob = serializePrepared(B, Key);
-
-  PreparedBenchmark Out;
-  std::string Error;
-  EXPECT_TRUE(deserializePrepared(Blob, Key, Out, Error)) << Error;
-  expectEqualPrepared(Out, B);
-
-  // The same bytes presented under a different key (what a hash
-  // collision would look like) must be rejected, not trusted.
-  std::string OtherKey = prepCacheKeyString(tinySpec(9999), CostModel());
-  EXPECT_FALSE(deserializePrepared(Blob, OtherKey, Out, Error));
-}
-
-/// Damages the one cache entry in \p Dir with \p Damage(path) and
-/// checks the next prepareShared() rebuilds correct results.
-template <typename DamageFn>
-void checkDamageForcesRebuild(DamageFn Damage) {
-  ScopedCacheDir Cache;
-  BenchmarkSpec Spec = tinySpec();
+TEST(PrepCache, ConcurrentFirstCallsComputeOnce) {
+  // Long enough (~25 ms) that all four first calls overlap.
+  BenchmarkSpec Spec = tinySpec(4244);
+  Spec.TargetDynInstrs = 1'500'000;
   PreparedBenchmark Truth = prepareUncached(Spec);
+  MemoCounts Before;
 
-  ASSERT_NE(prepareShared(Spec, CostModel()), nullptr);
-  std::string Path =
-      prepCacheEntryPath(prepCacheKeyHash(prepCacheKeyString(Spec, CostModel())));
-  ASSERT_TRUE(std::filesystem::exists(Path)) << Path;
+  constexpr unsigned Threads = 4;
+  std::vector<PreparedBenchmark> Results(Threads);
+  std::latch Go(Threads);
+  std::vector<std::thread> Pool;
+  for (unsigned T = 0; T < Threads; ++T)
+    Pool.emplace_back([&, T] {
+      Go.arrive_and_wait();
+      Results[T] = prepare(Spec);
+    });
+  for (std::thread &Th : Pool)
+    Th.join();
 
-  Damage(Path);
-  prepCacheClearMemory();
-  prepCacheResetCounters();
-
-  std::shared_ptr<const PreparedBenchmark> Rebuilt =
-      prepareShared(Spec, CostModel());
-  ASSERT_NE(Rebuilt, nullptr);
-  expectEqualPrepared(*Rebuilt, Truth);
-  PrepCacheCounters C = prepCacheCounters();
-  EXPECT_EQ(C.DiskHits, 0u);
-  EXPECT_EQ(C.Corrupt, 1u);
-  EXPECT_EQ(C.Misses, 1u);
-
-  // The rebuild rewrote the entry; a further cold read works again.
-  prepCacheClearMemory();
-  std::shared_ptr<const PreparedBenchmark> FromDisk =
-      prepareShared(Spec, CostModel());
-  ASSERT_NE(FromDisk, nullptr);
-  expectEqualPrepared(*FromDisk, Truth);
-  EXPECT_EQ(prepCacheCounters().DiskHits, 1u);
-}
-
-TEST(PrepCache, CorruptedEntryForcesRebuild) {
-  checkDamageForcesRebuild([](const std::string &Path) {
-    // Flip one payload byte; the frame checksum catches it.
-    FILE *F = fopen(Path.c_str(), "r+b");
-    ASSERT_NE(F, nullptr);
-    fseek(F, 0, SEEK_END);
-    long Size = ftell(F);
-    ASSERT_GT(Size, 64);
-    fseek(F, Size / 2, SEEK_SET);
-    int Ch = fgetc(F);
-    fseek(F, Size / 2, SEEK_SET);
-    fputc(Ch ^ 0x5a, F);
-    fclose(F);
-  });
-}
-
-TEST(PrepCache, TruncatedEntryForcesRebuild) {
-  checkDamageForcesRebuild([](const std::string &Path) {
-    std::error_code Ec;
-    uintmax_t Size = std::filesystem::file_size(Path, Ec);
-    ASSERT_FALSE(Ec);
-    std::filesystem::resize_file(Path, Size / 3, Ec);
-    ASSERT_FALSE(Ec);
-  });
-}
-
-TEST(PrepCache, EmptyEntryForcesRebuild) {
-  checkDamageForcesRebuild([](const std::string &Path) {
-    FILE *F = fopen(Path.c_str(), "wb");
-    ASSERT_NE(F, nullptr);
-    fclose(F);
-  });
+  for (const PreparedBenchmark &R : Results)
+    expectEqualPrepared(R, Truth);
+  MemoCounts After;
+  EXPECT_EQ(After.Misses - Before.Misses, 1u);
+  EXPECT_EQ(After.Hits - Before.Hits, Threads - 1);
 }
 
 } // namespace

@@ -1,19 +1,17 @@
 #!/usr/bin/env sh
 # Golden experiment output: suite_all's stdout (all 15 experiments) must
-# equal tests/golden/suite_all.txt byte for byte in four runs:
+# equal tests/golden/suite_all.txt byte for byte in three runs:
 #
-#   1. PPP_CACHE=off at the default job count;
-#   2. a fresh PPP_CACHE_DIR at PPP_JOBS=1 (cold), which must leave
-#      cache entries behind, with every telemetry sink on (PPP_TRACE,
-#      PPP_METRICS, PPP_PASS_STATS);
-#   3. the same cache dir at PPP_JOBS=4 (warm);
-#   4. warm, the subset fig10_coverage kiter_blowup, against the golden
-#      file's sections of those two: the shared suite table (see
-#      bench/Experiments.h) is the same whichever experiment builds it.
+#   1. PPP_JOBS=1 with every telemetry sink on (PPP_TRACE, PPP_METRICS,
+#      PPP_PASS_STATS);
+#   2. PPP_JOBS=4;
+#   3. the subset fig10_coverage kiter_blowup at PPP_JOBS=4, against
+#      the golden file's sections of those two: the shared suite table
+#      (see bench/Experiments.h) is the same whichever experiment
+#      builds it.
 #
-# So the preparation cache, the worker count, the experiment selection
-# and telemetry change wall-clock, never bytes. The cold run's sinks
-# must also be complete:
+# So the worker count, the experiment selection and telemetry change
+# wall-clock, never bytes. The first run's sinks must also be complete:
 #
 #   - the trace file is valid Chrome trace_event JSON and the metrics
 #     file a valid ppp-metrics-v1 report;
@@ -28,7 +26,7 @@
 # A change that means to move a printed number regenerates the golden
 # file and lists every changed line in CHANGES.md:
 #
-#   PPP_CACHE=off build/bench/suite_all > tests/golden/suite_all.txt
+#   build/bench/suite_all > tests/golden/suite_all.txt
 #
 # Usage: tools/experiments_golden.sh [BUILD_DIR]   (default: <repo>/build)
 set -eu
@@ -50,7 +48,6 @@ done
 
 WORK=$(mktemp -d "${TMPDIR:-/tmp}/ppp-golden.XXXXXX")
 trap 'rm -rf "$WORK"' EXIT INT TERM
-CACHE_DIR="$WORK/cache"
 
 fail() {
   echo "experiments_golden: $*" >&2
@@ -74,13 +71,9 @@ run() {
   echo "ok: $NAME stdout matches the golden file"
 }
 
-run off "$GOLDEN" PPP_CACHE=off "$SUITE"
-
-run cold "$GOLDEN" PPP_CACHE_DIR="$CACHE_DIR" PPP_JOBS=1 \
+run serial "$GOLDEN" PPP_JOBS=1 \
   PPP_TRACE="$WORK/trace.json" PPP_METRICS="$WORK/metrics.json" \
   PPP_PASS_STATS=1 "$SUITE"
-entries=$(ls "$CACHE_DIR" 2>/dev/null | wc -l)
-[ "$entries" -gt 0 ] || fail "cold run left no cache entries in $CACHE_DIR"
 
 for f in trace.json metrics.json; do
   [ -s "$WORK/$f" ] || fail "$f missing or empty"
@@ -114,11 +107,11 @@ done
 if grep -q '"interp\.stats_skipped\.' "$WORK/metrics.json"; then
   fail "the report still names interp.stats_skipped.* keys"
 fi
-grep -q "pass statistics" "$WORK/cold.err" ||
+grep -q "pass statistics" "$WORK/serial.err" ||
   fail "PPP_PASS_STATS=1 printed no stats table on stderr"
 echo "ok: telemetry sinks valid and complete, derived counts nonzero"
 
-run warm "$GOLDEN" PPP_CACHE_DIR="$CACHE_DIR" PPP_JOBS=4 "$SUITE"
+run parallel "$GOLDEN" PPP_JOBS=4 "$SUITE"
 
 # The subset's expected stdout: fig10's section (up to Figure 11's
 # title) and kiter_blowup's (the last, to the end of the file).
@@ -127,7 +120,7 @@ run warm "$GOLDEN" PPP_CACHE_DIR="$CACHE_DIR" PPP_JOBS=4 "$SUITE"
   sed -n '/^k-iteration blowup: /,$p' "$GOLDEN"
 } >"$WORK/subset.expected"
 [ -s "$WORK/subset.expected" ] || fail "no fig10/kiter sections in $GOLDEN"
-run subset "$WORK/subset.expected" PPP_CACHE_DIR="$CACHE_DIR" PPP_JOBS=4 \
-  "$SUITE" fig10_coverage kiter_blowup
+run subset "$WORK/subset.expected" PPP_JOBS=4 "$SUITE" fig10_coverage \
+  kiter_blowup
 
-echo "experiments_golden: PASS ($entries cache entries)"
+echo "experiments_golden: PASS"

@@ -14,8 +14,8 @@
 ///    budget runs out (long mode for soak runs).
 ///  - `--fault`: additionally fault-inject the binary frames (module /
 ///    edge profile / path profile / trace recording / timed trace
-///    recording / PrepCache entry) of every 16th corpus module, plus
-///    the hand-crafted hostile module frames.
+///    recording) of every 16th corpus module, plus the hand-crafted
+///    hostile module frames.
 ///
 /// On a failing case, `--shrink` walks the shape knobs down while the
 /// failure reproduces and prints a reproducer command line.
@@ -29,8 +29,6 @@
 #include "fuzz/FaultInject.h"
 #include "fuzz/Fuzzer.h"
 #include "fuzz/Invariants.h"
-#include "Harness.h"
-#include "PrepCache.h"
 #include "interp/Interpreter.h"
 #include "obs/Obs.h"
 #include "profile/BinaryIO.h"
@@ -250,22 +248,6 @@ unsigned runFaultPass(uint64_t Seed, const FuzzShape &Shape, uint64_t Fuel,
                  TimedLeaks);
   }
 
-  // PrepCache entry built from the same artifacts.
-  bench::PreparedBenchmark B;
-  B.Name = M.Name;
-  B.Original = M;
-  B.Expanded = M;
-  B.EPOrig = EP;
-  B.OracleOrig = Oracle;
-  B.EP = EP;
-  B.Oracle = Oracle;
-  std::string Key = "fuzz-prep-key";
-  std::string PrepBlob = bench::serializePrepared(B, Key);
-  Run("prepcache", mutateFrame(PrepBlob, R, 6, 6, 6),
-      [&Key](const std::string &Blob, std::string &Err) {
-        bench::PreparedBenchmark Out;
-        return bench::deserializePrepared(Blob, Key, Out, Err);
-      });
   return Violations;
 }
 

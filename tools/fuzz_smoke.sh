@@ -17,7 +17,7 @@ fi
 
 # The corpus proper: 200 default-shape modules, fault-injecting every
 # 16th one's binary frames (module / edge profile / path profile /
-# PrepCache entry).
+# trace recording / timed trace recording).
 "$FUZZ" --seed=1 --count=200 --fault --quiet
 
 # A handful of degenerate shapes the default knobs never reach.

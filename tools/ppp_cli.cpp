@@ -10,11 +10,10 @@
 ///       <spec> is any profiler spec parseProfilerSpec accepts, from a
 ///       preset (pp, tpp, tpp-checked, ppp, trace, trace+time) to one
 ///       with technique toggles, e.g. "ppp;+kiter2" or "tpp;+sac".
-///       Prepares <bench> the way every experiment does (bench::prepare,
-///       through the preparation cache), profiles it with
-///       bench::runProfiler, and prints metrics plus the hottest
-///       measured paths. --no-expand profiles the original code instead
-///       of the inlined+unrolled code.
+///       Prepares <bench> the way every experiment does (bench::prepare),
+///       profiles it with bench::runProfiler, and prints metrics plus
+///       the hottest measured paths. --no-expand profiles the original
+///       code instead of the inlined+unrolled code.
 ///   ppp_cli dump <bench> [--expanded]
 ///       Print the benchmark's IR.
 ///

@@ -33,7 +33,6 @@
 //===----------------------------------------------------------------------===//
 
 #include "Harness.h"
-#include "PrepCache.h"
 
 #include "interp/Interpreter.h"
 #include "pass/Pipeline.h"

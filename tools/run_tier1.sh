@@ -12,7 +12,7 @@ cmake --build build -j
 cd build
 # On ctest 3.25.1 a bare -j takes no default job count, so this runs one
 # test at a time (`ctest -j -R x` even swallows -R and ignores the
-# filter). On 4 vCPUs it takes the sum of the test times (~50 s);
+# filter). On 4 vCPUs it takes the sum of the test times (~46 s);
 # PROCESSORS in tests/CMakeLists.txt only matters under an explicit -jN.
 ctest --output-on-failure -j
 

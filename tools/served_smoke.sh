@@ -38,12 +38,6 @@ REPEAT=2
 # every benchmark name that many times.
 ORACLE_LIST="mcf,mcf,vpr,vpr,bzip2,bzip2,art,art"
 
-# All processes share one prep cache. The oracle runs first and alone,
-# so it populates the cache sequentially; the four concurrent clients
-# then only read warm entries.
-PPP_CACHE_DIR="$WORK/cache"
-export PPP_CACHE_DIR
-
 echo "== served smoke: sequential oracle =="
 "$SERVED" oracle --bench="$ORACLE_LIST" --out="$WORK/oracle.txt"
 [ -s "$WORK/oracle.txt" ] || {
